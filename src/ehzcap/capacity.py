@@ -11,8 +11,11 @@ touching curve, and takes the minimum.
 
 The result is cross-checked four ways: the same enumeration runs with the
 two bodies swapped, and on both sides a strong billiard trajectory of the
-optimal length is reconstructed and verified.  A brute-force grid oracle
-provides an independent upper-bound search for tests.
+optimal length is reconstructed and verified.  The bounce laws are the KKT
+conditions of the assignment program, so the trajectory's momenta are that
+program's own multipliers and realization solves no further LP.  A
+brute-force grid oracle provides an independent upper-bound search for
+tests.
 """
 
 from __future__ import annotations
@@ -23,30 +26,29 @@ from math import ceil, inf
 
 import numpy as np
 
-from .billiards import extract_dual, verify_strong
+from .billiards import verify_strong
 from .curves import (
     PINNED_TOL,
     ClosedPolygonalCurve,
     TranslationCertificate,
+    _on_segment,
     canonicalize,
     minkowski_length,
     translation_margin,
 )
 from .errors import (
+    CurveCollapseError,
     DimensionMismatchError,
     GridTooCoarseError,
     InvalidBodyError,
     LpNumericalError,
-    NotABilliardError,
     OriginNotInteriorError,
-    PointOffBoundaryError,
 )
 from .geometry import (
     GEOM_TOL,
     ConvexPolytope,
     chebyshev_center,
     negate,
-    support_function,
     translate,
 )
 from .lp import make_lp, solve_lp
@@ -118,11 +120,17 @@ def enumerate_assignments(table: ConvexPolytope,
 
 @dataclass(frozen=True, eq=False)
 class AssignmentSolution:
-    """Optimal touching curve for one facet assignment."""
+    """Optimal touching curve for one facet assignment.
+
+    ``momenta`` holds the program's multipliers on the epigraph rows of each
+    segment, combined into points of the length body: row j is the momentum
+    of the segment from point j to point j+1.
+    """
 
     assignment: FacetAssignment
     value: float
     points: np.ndarray
+    momenta: np.ndarray
 
 
 def solve_assignment(table: ConvexPolytope, length_body: ConvexPolytope,
@@ -133,6 +141,13 @@ def solve_assignment(table: ConvexPolytope, length_body: ConvexPolytope,
     assigned facet, per-segment epigraph scalars bounding the support values
     of the length body over the segment directions.  Coincident consecutive
     points are allowed (a zero segment has zero length) and removed later.
+
+    The multipliers of the epigraph rows of segment j sum to one
+    (stationarity in its scalar), so they weight the length body's vertices
+    into a momentum p_j; complementary slackness puts p_j on the face that
+    q_{j+1} - q_j exposes, and stationarity in the points makes each kick
+    p_j - p_{j-1} a combination of table normals.  These are the two bounce
+    laws, which ``verify_strong`` checks.
     """
     if table.dim != length_body.dim:
         raise DimensionMismatchError("table and length body dimensions differ")
@@ -182,7 +197,8 @@ def solve_assignment(table: ConvexPolytope, length_body: ConvexPolytope,
             "feasible and bounded by construction")
     return AssignmentSolution(assignment=assignment,
                               value=float(sol.objective),
-                              points=sol.x[:m * n].reshape(m, n).copy())
+                              points=sol.x[:m * n].reshape(m, n).copy(),
+                              momenta=sol.ineq_duals[:m * v].reshape(m, v) @ w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,7 +292,9 @@ def _solve_side(table: ConvexPolytope, geometry: ConvexPolytope) -> _SideSolve:
 def _merge_degenerate_pairs(points: np.ndarray, momenta: np.ndarray):
     """Remove curve degeneracies while preserving the strong bounce laws.
 
-    A coincident pair drops the earlier point: the two kicks combine at the
+    Points are dropped in the order :func:`canonicalize` drops them, so the
+    merged curve is the canonical one.  A coincident pair drops the later
+    point with the zero segment's momentum: the two kicks combine at the
     shared bounce point, whose normal cone contains both.  A collinear point
     may only be dropped when its momentum equals the previous one, so the
     merged segment keeps a single valid momentum.  Returns None when a
@@ -291,8 +309,12 @@ def _merge_degenerate_pairs(points: np.ndarray, momenta: np.ndarray):
         if m < 2:
             return None
         for j in range(m):
-            if np.linalg.norm(pts[(j + 1) % m] - pts[j]) <= 1e-9:
-                del pts[j], mom[j]
+            later = (j + 1) % m
+            if np.linalg.norm(pts[later] - pts[j]) <= GEOM_TOL:
+                # point j takes the momentum of the segment that leaves the
+                # shared point, which keeps the lists aligned when later == 0
+                mom[j] = mom[later]
+                del pts[later], mom[later]
                 changed = True
                 break
         if changed:
@@ -300,10 +322,7 @@ def _merge_degenerate_pairs(points: np.ndarray, momenta: np.ndarray):
         if m <= 2:
             break
         for j in range(m):
-            d = pts[(j + 1) % m] - pts[j - 1]
-            norm2 = float(d @ d)
-            s = float(np.clip((pts[j] - pts[j - 1]) @ d / norm2, 0.0, 1.0))
-            if np.linalg.norm(pts[j] - (pts[j - 1] + s * d)) > 1e-9:
+            if not _on_segment(pts[j], pts[j - 1], pts[(j + 1) % m]):
                 continue
             if np.linalg.norm(mom[j] - mom[j - 1]) > 1e-8:
                 return None
@@ -315,92 +334,33 @@ def _merge_degenerate_pairs(points: np.ndarray, momenta: np.ndarray):
     return np.array(pts), np.array(mom)
 
 
-def _dual_witness_from_assignment(table: ConvexPolytope,
-                                  length_body: ConvexPolytope,
-                                  solution: AssignmentSolution):
-    """Momenta from optimal assignment-program multipliers, if they exist.
-
-    Searches for multipliers of the touching program that have pure
-    single-facet kick structure and certify optimality by matching the
-    primal value.  Such multipliers pair with any optimal touching curve to
-    satisfy the strong bounce laws by complementary slackness.
-    """
-    idx = solution.assignment.indices
-    m = len(idx)
-    w = length_body.vertices
-    v = w.shape[0]
-    n = table.dim
-    nvars = m * v + m  # vertex weights per point, then kick sizes
-    cost = np.zeros(nvars)
-    cost[m * v:] = -table.offsets[list(idx)]
-    eq_rows = []
-    eq_rhs = []
-    for j in range(m):
-        row = np.zeros(nvars)
-        row[j * v:(j + 1) * v] = 1.0
-        eq_rows.append(row)
-        eq_rhs.append(1.0)
-    for j in range(m):
-        block = np.zeros((n, nvars))
-        block[:, j * v:(j + 1) * v] = w.T
-        block[:, ((j - 1) % m) * v:(((j - 1) % m) + 1) * v] -= w.T
-        block[:, m * v + j] = table.normals[idx[j]]
-        eq_rows.append(block)
-        eq_rhs.append(np.zeros(n))
-    a_eq = np.vstack([np.atleast_2d(r) for r in eq_rows])
-    b_eq = np.concatenate([np.atleast_1d(r) for r in eq_rhs])
-    sol = solve_lp(make_lp(cost, a_eq=a_eq, b_eq=b_eq,
-                           bounds=[(0.0, None)] * nvars))
-    if sol.status != "optimal":
-        return None
-    dual_value = -float(sol.objective)
-    if abs(dual_value - solution.value) > 1e-8 * (1.0 + abs(solution.value)):
-        return None
-    momenta = sol.x[:m * v].reshape(m, v) @ w
-    merged = _merge_degenerate_pairs(solution.points, momenta)
-    if merged is None:
-        return None
-    points, momenta = merged
-    try:
-        curve = ClosedPolygonalCurve(points)
-    except Exception:
-        return None
-    pair = verify_strong(table, length_body, curve, momenta)
-    if not pair.verified:
-        return None
-    return curve, momenta
-
-
 def _realize_billiard(table: ConvexPolytope, length_body: ConvexPolytope,
                       tied: tuple[AssignmentSolution, ...]):
     """Find a verified strong trajectory at the optimal value.
 
-    Tries, per value-tied assignment: the canonical minimizer with momenta
-    recovered by the joint feasibility program, then the multiplier-based
-    witness.  Returns (curve, momenta, note); curve is None with a
-    diagnostic note when every route fails.
+    Per value-tied assignment, pairs the optimal touching curve with the
+    momenta from the assignment program's own multipliers, merges away
+    degenerate points, and keeps the first pair that ``verify_strong``
+    accepts.  Returns (curve, momenta, note); curve is None with a
+    diagnostic note when no tied assignment verifies.
     """
     notes = []
     for solution in tied:
         label = str(solution.assignment.indices)
+        merged = _merge_degenerate_pairs(solution.points, solution.momenta)
+        if merged is None:
+            notes.append(f"{label}: a collinear bounce with a genuine kick "
+                         "blocks the merge")
+            continue
+        points, momenta = merged
         try:
-            curve = canonicalize(solution.points)
-        except Exception as exc:
+            curve = ClosedPolygonalCurve(points)
+        except CurveCollapseError as exc:
             notes.append(f"{label}: minimizer collapsed ({exc})")
             continue
-        try:
-            momenta = extract_dual(table, length_body, curve)
-            if verify_strong(table, length_body, curve, momenta).verified:
-                return curve, momenta, ""
-            notes.append(f"{label}: extracted momenta failed verification")
-        except NotABilliardError:
-            notes.append(f"{label}: canonical minimizer admits no momenta")
-        except (PointOffBoundaryError, LpNumericalError) as exc:
-            notes.append(f"{label}: extraction error ({exc})")
-        witness = _dual_witness_from_assignment(table, length_body, solution)
-        if witness is not None:
-            return witness[0], witness[1], ""
-        notes.append(f"{label}: multiplier witness unavailable")
+        if verify_strong(table, length_body, curve, momenta).verified:
+            return curve, momenta, ""
+        notes.append(f"{label}: multiplier momenta failed verification")
     return None, None, "; ".join(notes)
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     CurveCollapseError,
     DimensionMismatchError,
+    LpNumericalError,
     NoValidSubselectionError,
     OriginNotInteriorError,
 )
@@ -194,7 +195,10 @@ def translation_margin(body: ConvexPolytope, curve: ClosedPolygonalCurve,
     c[n] = -1.0
     a_ub = np.hstack([body.normals, np.ones((body.num_facets, 1))])
     sol = solve_lp(make_lp(c, a_ub=a_ub, b_ub=body.offsets - worst))
-    assert sol.status == "optimal"
+    if sol.status != "optimal":
+        raise LpNumericalError(
+            f"translation-margin program ended with status {sol.status}; it "
+            "is feasible and bounded for a valid body")
     margin = float(sol.x[n])
     translation = sol.x[:n].copy()
     translation.flags.writeable = False

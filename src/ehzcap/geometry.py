@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidBodyError,
+    LpNumericalError,
     OriginNotInteriorError,
     PointOutsideBodyError,
 )
@@ -401,7 +402,10 @@ class Cone:
         lp = make_lp(c, a_eq=a_eq, b_eq=v,
                      bounds=[(0.0, None)] * (k + 2 * n))
         sol = solve_lp(lp)
-        assert sol.status == "optimal"
+        if sol.status != "optimal":
+            raise LpNumericalError(
+                f"cone-membership program ended with status {sol.status}; it "
+                "is feasible and bounded below by construction")
         res = float(sol.objective)
         return ConeMembership(res <= tol * (1.0 + float(np.linalg.norm(v))),
                               res, sol.x[:k])
@@ -508,7 +512,10 @@ def chebyshev_center(body: ConvexPolytope) -> tuple[np.ndarray, float]:
     c[n] = -1.0
     a_ub = np.hstack([body.normals, np.ones((body.num_facets, 1))])
     sol = solve_lp(make_lp(c, a_ub=a_ub, b_ub=body.offsets))
-    assert sol.status == "optimal"
+    if sol.status != "optimal":
+        raise LpNumericalError(
+            f"Chebyshev-center program ended with status {sol.status}; it is "
+            "feasible and bounded for a valid body")
     return sol.x[:n], float(sol.x[n])
 
 

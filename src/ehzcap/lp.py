@@ -17,6 +17,8 @@ multipliers in the convention
     c + a_ub.T @ ineq_duals + a_eq.T @ eq_duals == 0  on unbounded variables,
 
 with ineq_duals >= 0 and complementary slackness against the slacks.
+Infeasible and unbounded problems report only their status and pivot
+count.
 """
 
 from __future__ import annotations
@@ -60,11 +62,7 @@ class LpSolution:
     ``status`` is one of ``"optimal"``, ``"infeasible"``, ``"unbounded"``.
     ``x``/``objective``/duals are populated only for ``"optimal"``.
     ``active_ub`` lists the inequality rows tight at the solution within
-    ``FEASIBILITY_TOL`` scale.  For infeasible problems,
-    ``infeasibility_certificate`` holds ``(lam_ub, lam_eq)`` with
-    ``lam_ub >= 0``, ``a_ub.T @ lam_ub + a_eq.T @ lam_eq`` vanishing on free
-    variables (nonnegative against lower bounds, nonpositive against upper
-    bounds) and ``b_ub . lam_ub + b_eq . lam_eq < 0``.
+    ``FEASIBILITY_TOL`` scale.
     """
 
     status: str
@@ -73,7 +71,6 @@ class LpSolution:
     ineq_duals: np.ndarray | None = None
     eq_duals: np.ndarray | None = None
     active_ub: tuple[int, ...] = ()
-    infeasibility_certificate: tuple[np.ndarray, np.ndarray] | None = None
     iterations: int = 0
 
 
@@ -314,7 +311,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             raise LpNumericalError("phase 1 reported unbounded")
         phase1_obj = -tab[-1, -1]
         if phase1_obj > 1e-8 * art_scale:
-            return _infeasible(lp, sf, tab, basis, ncols, iterations[0])
+            return LpSolution(status="infeasible", iterations=iterations[0])
         # Drive remaining artificials out of the basis or drop their rows.
         drop_rows = []
         for r in range(m):
@@ -363,45 +360,6 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     y = np.zeros(sf.row_kept.shape[0])
     y[kept] = y_kept
     return _finish(lp, sf, z, y, basis, iterations[0])
-
-
-def _infeasible(lp: LinearProgram, sf: _StandardForm, tab, basis, ncols,
-                iters: int) -> LpSolution:
-    """Build a Farkas-type certificate from the phase-1 duals."""
-    m = sf.amat.shape[0]
-    cost1 = np.zeros(ncols)
-    c_basic = np.array([1.0 if b >= ncols else cost1[b] for b in basis])
-    # Phase-1 duals: y solves B.T y = c_B over the (possibly artificial) basis.
-    bcols = []
-    for b in basis:
-        if b < ncols:
-            bcols.append(sf.amat[:, b])
-        else:
-            # Artificial column is the unit vector of its home row.
-            e = np.zeros(m)
-            e[_artificial_home(sf, b, ncols)] = 1.0
-            bcols.append(e)
-    bmat = np.column_stack(bcols)
-    try:
-        y = np.linalg.solve(bmat.T, c_basic)
-    except np.linalg.LinAlgError:
-        y = np.linalg.lstsq(bmat.T, c_basic, rcond=None)[0]
-    y_signed = y * sf.row_sign
-    lam_ub = -y_signed[: sf.n_user_ub]
-    lam_eq = -y_signed[sf.n_ub_all :]
-    # Clean tiny negatives on the inequality multipliers.
-    lam_ub = np.where(lam_ub > 0, lam_ub, 0.0)
-    return LpSolution(status="infeasible",
-                      infeasibility_certificate=(lam_ub, lam_eq),
-                      iterations=iters)
-
-
-def _artificial_home(sf: _StandardForm, col: int, ncols: int) -> int:
-    # Artificial columns were appended in order of the rows that needed them.
-    idx = col - ncols
-    homes = [r for r in range(sf.amat.shape[0])
-             if not (r < sf.n_ub_all and sf.row_sign[r] > 0)]
-    return homes[idx]
 
 
 def _finish(lp: LinearProgram, sf: _StandardForm, z, y, basis, iters) -> LpSolution:

@@ -11,8 +11,14 @@ from ehzcap.capacity import (
     enumerate_assignments,
     solve_assignment,
     _margin_dual_vertices,
+    _merge_degenerate_pairs,
 )
-from ehzcap.curves import canonicalize, minkowski_length, translation_margin
+from ehzcap.curves import (
+    ClosedPolygonalCurve,
+    canonicalize,
+    minkowski_length,
+    translation_margin,
+)
 from ehzcap.errors import InvalidBodyError, OriginNotInteriorError
 from ehzcap.billiards import verify_strong, verify_weak
 from ehzcap.geometry import (
@@ -44,6 +50,14 @@ def cube():
 def octahedron():
     return ConvexPolytope.from_vertices(
         np.vstack([np.eye(3), -np.eye(3)]))
+
+
+def simplex_4d():
+    """Regular 4-simplex: e1..e4 and ((1 - sqrt 5)/4)(1,1,1,1), with its
+    vertex centroid moved to the origin."""
+    apex = (1.0 - np.sqrt(5.0)) / 4.0 * np.ones(4)
+    pts = np.vstack([np.eye(4), apex])
+    return ConvexPolytope.from_vertices(pts - pts.mean(axis=0))
 
 
 def facet_index(body, direction):
@@ -145,6 +159,46 @@ class TestSolveAssignment:
             solve_assignment(square(), square(),
                              FacetAssignment((0, 9), np.array([0.5, 0.5])))
 
+    def test_cube_winner_momenta_lie_in_the_length_body(self):
+        winner = ehz_capacity(cube(), cube()).assignment
+        out = solve_assignment(cube(), cube(), winner)
+        assert out.momenta.shape == out.points.shape
+        for p in out.momenta:
+            assert cube().contains(p)
+        points, momenta = _merge_degenerate_pairs(out.points, out.momenta)
+        assert verify_strong(cube(), cube(), ClosedPolygonalCurve(points),
+                             momenta).verified
+
+
+class TestMergeDegeneratePairs:
+    def test_spike_between_coincident_neighbours_is_kept(self):
+        points = np.array([[1.0, 0, 0], [0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        momenta = np.arange(12.0).reshape(4, 3)
+        merged = _merge_degenerate_pairs(points, momenta)
+        assert merged is not None
+        np.testing.assert_array_equal(merged[0], points)
+        np.testing.assert_array_equal(merged[1], momenta)
+
+    def test_coincident_pair_drops_the_later_point(self):
+        points = np.array([[0.0, 0], [1, 0], [1, 1e-12], [0, 1]])
+        momenta = np.arange(8.0).reshape(4, 2)
+        merged_points, merged_momenta = _merge_degenerate_pairs(points, momenta)
+        np.testing.assert_array_equal(merged_points, points[[0, 1, 3]])
+        np.testing.assert_array_equal(merged_momenta, momenta[[0, 2, 3]])
+
+    def test_wrapped_coincident_pair_matches_canonicalize(self):
+        points = np.array([[0.0, 0], [1, 0], [0, 1], [0, 0]])
+        momenta = np.arange(8.0).reshape(4, 2)
+        merged_points, merged_momenta = _merge_degenerate_pairs(points, momenta)
+        np.testing.assert_array_equal(merged_points,
+                                      canonicalize(points).points)
+        np.testing.assert_array_equal(merged_momenta, momenta[[1, 2, 0]])
+
+    def test_collinear_point_with_a_kick_blocks_the_merge(self):
+        points = np.array([[0.0, 0], [0.5, 0], [1, 0], [0, 1]])
+        momenta = np.arange(8.0).reshape(4, 2)
+        assert _merge_degenerate_pairs(points, momenta) is None
+
 
 class TestCapacityFrozenValues:
     def test_square_square(self):
@@ -176,6 +230,15 @@ class TestCapacityFrozenValues:
     def test_cube_octahedron_cross_equality(self):
         result = ehz_capacity(cube(), octahedron())
         assert result.quantities.consistent
+
+    def test_simplex_4d_realizes_on_both_sides(self):
+        body = simplex_4d()
+        result = ehz_capacity(body, body)
+        assert result.realized
+        assert result.quantities.consistent
+        assert result.dual_note == ""
+        assert verify_strong(body, body, result.billiard_curve,
+                             result.dual_curve).verified
 
     def test_deterministic_output(self):
         a = ehz_capacity(square(), square())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ehzcap.curves
 from ehzcap.curves import (
     ClosedPolygonalCurve,
     canonicalize,
@@ -13,10 +14,12 @@ from ehzcap.curves import (
 from ehzcap.errors import (
     CurveCollapseError,
     DimensionMismatchError,
+    LpNumericalError,
     NoValidSubselectionError,
     OriginNotInteriorError,
 )
 from ehzcap.geometry import ConvexPolytope, affine_image
+from ehzcap.lp import LpSolution
 
 
 PINNED_TOL_HALF = 0.5e-8
@@ -205,6 +208,12 @@ class TestTranslationMargin:
             margin = float(np.min(body.offsets
                                   - (curve.points + t) @ body.normals.T))
             assert margin <= cert.margin + 1e-9
+
+    def test_nonoptimal_program_raises_naming_the_stage(self, monkeypatch):
+        monkeypatch.setattr(ehzcap.curves, "solve_lp",
+                            lambda lp: LpSolution(status="unbounded"))
+        with pytest.raises(LpNumericalError, match="translation-margin"):
+            translation_margin(square(), back_and_forth())
 
 
 class TestDiscreteAction:

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ehzcap.geometry
 from ehzcap.errors import (
     DimensionMismatchError,
     InvalidBodyError,
+    LpNumericalError,
     OriginNotInteriorError,
     PointOutsideBodyError,
 )
@@ -21,6 +23,7 @@ from ehzcap.geometry import (
     support_function,
     translate,
 )
+from ehzcap.lp import LpSolution
 
 
 def square():
@@ -245,6 +248,13 @@ class TestNormalCone:
             inside = normal_cone(body, w).contains(v)
             assert inside == (j in arg)
 
+    def test_nonoptimal_program_raises_naming_the_stage(self, monkeypatch):
+        cone = normal_cone(square(), (1, 1))
+        monkeypatch.setattr(ehzcap.geometry, "solve_lp",
+                            lambda lp: LpSolution(status="unbounded"))
+        with pytest.raises(LpNumericalError, match="cone-membership"):
+            cone.membership((1, 0))
+
 
 class TestContains:
     def test_classification(self):
@@ -352,6 +362,12 @@ class TestChebyshevCenter:
         center, radius = chebyshev_center(body)
         assert radius > 0
         assert body.locate(center) == "interior"
+
+    def test_nonoptimal_program_raises_naming_the_stage(self, monkeypatch):
+        monkeypatch.setattr(ehzcap.geometry, "solve_lp",
+                            lambda lp: LpSolution(status="unbounded"))
+        with pytest.raises(LpNumericalError, match="Chebyshev-center"):
+            chebyshev_center(square())
 
 
 class TestDiameterAndCentroid:
