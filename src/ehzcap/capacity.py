@@ -7,7 +7,10 @@ curve can always be translated to touch the boundary, and the touched
 facets then carry the origin in the convex hull of their outward normals.
 The solver therefore enumerates the small cyclic facet sequences with that
 hull property, solves one linear program per sequence for the shortest
-touching curve, and takes the minimum.
+touching curve, and takes the minimum.  The hull property itself needs no
+LP: the vertices of the polytope of hull weights are listed once per table,
+and a facet subset has the property exactly when it contains the support of
+one of them.
 
 The result is cross-checked four ways: the same enumeration runs with the
 two bodies swapped, and on both sides a strong billiard trajectory of the
@@ -62,7 +65,9 @@ class FacetAssignment:
     """Cyclic sequence of distinct table facets a touching curve can use.
 
     ``hull_weights`` certifies the defining property: nonnegative weights
-    summing to one that combine the assigned facet normals to zero.
+    summing to one that combine the assigned facet normals to zero.  They
+    are a vertex of the table's weight polytope supported on the assigned
+    facets, restricted to them and renormalized.
     """
 
     indices: tuple[int, ...]
@@ -76,17 +81,47 @@ class FacetAssignment:
         return f"FacetAssignment{self.indices}"
 
 
-def _zero_hull_weights(normals: np.ndarray):
-    """Weights putting the origin in the convex hull of the rows, or None."""
-    m, n = normals.shape
-    a_eq = np.vstack([normals.T, np.ones((1, m))])
-    b_eq = np.zeros(n + 1)
-    b_eq[n] = 1.0
-    sol = solve_lp(make_lp(np.zeros(m), a_eq=a_eq, b_eq=b_eq,
-                           bounds=[(0.0, None)] * m))
-    if sol.status != "optimal":
-        return None
-    return sol.x.copy()
+def _margin_dual_vertices(table: ConvexPolytope) -> np.ndarray:
+    """Vertices of the weight polytope {l >= 0, sum l_i a_i = 0, sum l_i = 1}.
+
+    Rows are sorted and deduplicated.  The enumeration reads its facet hull
+    test off their supports; the brute-force oracle uses them as the dual
+    of the translation-margin LP, whose best margin for any point set is
+    the minimum over these weight vectors of the weighted slack, which
+    makes the pinned test for millions of tuples a single matrix product.
+
+    A vertex is the basic solution of n+1 facets whose columns of
+    [A^T; 1^T] are independent.  That matrix has rank n+1 for a bounded
+    body (a positive l with A^T l = 0 has 1 l > 0), so every candidate
+    basis is square and all of them are tested and solved in one batch.
+    """
+    f = table.num_facets
+    n = table.dim
+    e_mat = np.vstack([table.normals.T, np.ones((1, f))])
+    rhs = np.zeros(n + 1)
+    rhs[n] = 1.0
+    bases = np.array(list(combinations(range(f), n + 1)))
+    cols = e_mat[:, bases].transpose(1, 0, 2)  # (bases, n+1, n+1)
+    regular = np.linalg.matrix_rank(cols, tol=GEOM_TOL) == n + 1
+    bases, cols = bases[regular], cols[regular]
+    x = np.linalg.solve(cols, np.broadcast_to(rhs[:, None],
+                                              cols.shape[:2] + (1,)))
+    residual = np.abs(cols @ x - rhs[:, None]).max(axis=(1, 2))
+    x = x[..., 0]
+    feasible = (residual <= GEOM_TOL) & (x.min(axis=1) >= -GEOM_TOL)
+    if not np.any(feasible):
+        raise InvalidBodyError("facet normals do not positively span; the "
+                               "table body cannot be bounded")
+    bases, x = bases[feasible], x[feasible]
+    rows = np.zeros((len(bases), f))
+    rows[np.arange(len(bases))[:, None], bases] = np.clip(x, 0.0, None)
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    keep = [rows[0]]
+    for r in rows[1:]:
+        if np.max(np.abs(r - keep[-1])) > GEOM_TOL:
+            keep.append(r)
+    return np.array(keep)
 
 
 def enumerate_assignments(table: ConvexPolytope,
@@ -97,22 +132,40 @@ def enumerate_assignments(table: ConvexPolytope,
     both traversal orientations appear because curve lengths are sensitive
     to direction for non-symmetric geometry bodies.  Order: by size, then
     by facet subset, then by permutation of the remaining indices.
+
+    The hull test solves no LP.  The weights putting the origin in the hull
+    of a subset's normals form the face of the weight polytope (see
+    :func:`_margin_dual_vertices`) where the other facets weigh zero, and a
+    nonempty face holds a vertex.  So a subset qualifies exactly when it
+    contains the support of a vertex, which is listed once per table; the
+    first such vertex, restricted to the subset, gives the hull weights.
     """
     n = table.dim
     if m_max is None:
         m_max = n + 1
     if m_max < 2:
         raise ValueError("assignments need at least two facets")
+    f = table.num_facets
+    vertices = _margin_dual_vertices(table)
+    supports = vertices > GEOM_TOL
+    support_sizes = supports.sum(axis=1)
     out = []
-    for m in range(2, min(m_max, table.num_facets) + 1):
-        for subset in combinations(range(table.num_facets), m):
-            weights = _zero_hull_weights(table.normals[list(subset)])
-            if weights is None:
+    for m in range(2, min(m_max, f) + 1):
+        subsets = list(combinations(range(f), m))
+        members = np.zeros((len(subsets), f), dtype=bool)
+        members[np.arange(len(subsets))[:, None], subsets] = True
+        first_vertex = np.full(len(subsets), -1)
+        for k in np.flatnonzero(support_sizes <= m):
+            hit = (first_vertex < 0) & members[:, supports[k]].all(axis=1)
+            first_vertex[hit] = k
+        for subset, k in zip(subsets, first_vertex):
+            if k < 0:
                 continue
-            first, rest = subset[0], subset[1:]
-            for perm in permutations(rest):
-                order = (first,) + perm
-                w = np.array([weights[subset.index(i)] for i in order])
+            vertex = vertices[k]
+            total = vertex[list(subset)].sum()
+            for perm in permutations(subset[1:]):
+                order = (subset[0],) + perm
+                w = vertex[list(order)] / total
                 w.flags.writeable = False
                 out.append(FacetAssignment(indices=order, hull_weights=w))
     return tuple(out)
@@ -188,13 +241,16 @@ def solve_assignment(table: ConvexPolytope, length_body: ConvexPolytope,
         eq_rows[j, j * n:(j + 1) * n] = table.normals[i]
         eq_rhs[j] = table.offsets[i]
 
-    sol = solve_lp(make_lp(cost, a_ub=np.vstack(ub_rows),
-                           b_ub=np.concatenate(ub_rhs),
-                           a_eq=eq_rows, b_eq=eq_rhs))
+    try:
+        sol = solve_lp(make_lp(cost, a_ub=np.vstack(ub_rows),
+                               b_ub=np.concatenate(ub_rhs),
+                               a_eq=eq_rows, b_eq=eq_rhs))
+    except LpNumericalError as exc:
+        raise LpNumericalError(f"assignment program {idx}: {exc}") from exc
     if sol.status != "optimal":
         raise LpNumericalError(
-            f"assignment program ended with status {sol.status}; it is "
-            "feasible and bounded by construction")
+            f"assignment program {idx} ended with status {sol.status}; it "
+            "is feasible and bounded by construction")
     return AssignmentSolution(assignment=assignment,
                               value=float(sol.objective),
                               points=sol.x[:m * n].reshape(m, n).copy(),
@@ -438,45 +494,6 @@ def ehz_capacity(table: ConvexPolytope, geometry: ConvexPolytope) -> CapacityRes
 # -- brute-force oracle ------------------------------------------------------
 
 
-def _margin_dual_vertices(table: ConvexPolytope) -> np.ndarray:
-    """Vertices of the weight polytope dual to the translation-margin LP.
-
-    The best translation margin of any point set equals the minimum over
-    these weight vectors of the weighted slack; enumerating them once makes
-    the pinned test for millions of tuples a single matrix product.
-    """
-    f = table.num_facets
-    n = table.dim
-    e_mat = np.vstack([table.normals.T, np.ones((1, f))])
-    rhs = np.zeros(n + 1)
-    rhs[n] = 1.0
-    rank = np.linalg.matrix_rank(e_mat, tol=1e-9)
-    found = []
-    for subset in combinations(range(f), rank):
-        cols = e_mat[:, list(subset)]
-        if np.linalg.matrix_rank(cols, tol=1e-9) < rank:
-            continue
-        x, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
-        if np.max(np.abs(cols @ x - rhs)) > 1e-9:
-            continue
-        if np.min(x) < -1e-9:
-            continue
-        lam = np.zeros(f)
-        lam[list(subset)] = np.clip(x, 0.0, None)
-        found.append(lam)
-    if not found:
-        raise InvalidBodyError("facet normals do not positively span; the "
-                               "table body cannot be bounded")
-    rows = np.array(found)
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    keep = [rows[0]]
-    for r in rows[1:]:
-        if np.max(np.abs(r - keep[-1])) > 1e-9:
-            keep.append(r)
-    return np.array(keep)
-
-
 def _facet_grid(body: ConvexPolytope, facet: int, step: float) -> np.ndarray:
     """Grid of the given spacing on one facet, in facet-intrinsic coordinates,
     together with the facet's corners."""
@@ -605,12 +622,13 @@ def capacity_identities(table: ConvexPolytope, geometry: ConvexPolytope,
     about); ``full`` also performs the swapped solves and billiard
     realizations per variant.
     """
+    neg_table, neg_geometry = negate(table), negate(geometry)
     variants = {
         "base": (table, geometry),
         "swapped": (geometry, table),
-        "negated_table": (negate(table), geometry),
-        "negated_geometry": (table, negate(geometry)),
-        "negated_both": (negate(table), negate(geometry)),
+        "negated_table": (neg_table, geometry),
+        "negated_geometry": (table, neg_geometry),
+        "negated_both": (neg_table, neg_geometry),
     }
     values = {}
     for name, (k, t) in variants.items():

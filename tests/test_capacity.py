@@ -1,7 +1,11 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ehzcap.capacity
+from ehzcap.bodies import named_body, perturbed_body
 from ehzcap.capacity import (
     FacetAssignment,
     boundary_grid,
@@ -19,7 +23,11 @@ from ehzcap.curves import (
     minkowski_length,
     translation_margin,
 )
-from ehzcap.errors import InvalidBodyError, OriginNotInteriorError
+from ehzcap.errors import (
+    InvalidBodyError,
+    LpNumericalError,
+    OriginNotInteriorError,
+)
 from ehzcap.billiards import verify_strong, verify_weak
 from ehzcap.geometry import (
     ConvexPolytope,
@@ -28,6 +36,7 @@ from ehzcap.geometry import (
     negate,
     translate,
 )
+from ehzcap.lp import LpSolution
 
 
 def square():
@@ -108,11 +117,40 @@ class TestEnumerateAssignments:
         assert by_size == {2: 3, 3: 24, 4: 90}
 
     def test_hull_certificates_are_valid(self):
-        for a in enumerate_assignments(cube()):
-            assert np.all(a.hull_weights >= -1e-9)
-            assert abs(a.hull_weights.sum() - 1.0) <= 1e-9
-            combo = a.hull_weights @ cube().normals[list(a.indices)]
-            assert np.max(np.abs(combo)) <= 1e-9
+        for body in (cube(), perturbed_body(cube(), 1e-3, seed=0)):
+            for a in enumerate_assignments(body):
+                assert np.all(a.hull_weights >= -1e-9)
+                assert abs(a.hull_weights.sum() - 1.0) <= 1e-9
+                combo = a.hull_weights @ body.normals[list(a.indices)]
+                assert np.max(np.abs(combo)) <= 1e-9
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize("name", ["cube", "octahedron", "simplex-3d"])
+    def test_subsets_match_highs_feasibility(self, name, delta):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        base = perturbed_body(named_body(name), delta, seed=0)
+        for body in (base, negate(base)):
+            found = {tuple(sorted(a.indices))
+                     for a in enumerate_assignments(body)}
+            expected = set()
+            for m in range(2, body.dim + 2):
+                for subset in combinations(range(body.num_facets), m):
+                    a_eq = np.vstack([body.normals[list(subset)].T,
+                                      np.ones((1, m))])
+                    b_eq = np.zeros(body.dim + 1)
+                    b_eq[-1] = 1.0
+                    ref = linprog(np.zeros(m), A_eq=a_eq, b_eq=b_eq,
+                                  bounds=[(0, None)] * m, method="highs")
+                    if ref.status == 0:
+                        expected.add(subset)
+            assert found == expected
+
+    def test_solves_no_lp(self, monkeypatch):
+        def refuse(lp):
+            raise AssertionError("the enumeration solved an LP")
+
+        monkeypatch.setattr(ehzcap.capacity, "solve_lp", refuse)
+        assert len(enumerate_assignments(cube())) == 117
 
     def test_deterministic(self):
         first = [a.indices for a in enumerate_assignments(square())]
@@ -158,6 +196,27 @@ class TestSolveAssignment:
         with pytest.raises(InvalidBodyError):
             solve_assignment(square(), square(),
                              FacetAssignment((0, 9), np.array([0.5, 0.5])))
+
+    def test_solver_error_names_the_assignment(self, monkeypatch):
+        def fail(lp):
+            raise LpNumericalError("phase 1 reported unbounded")
+
+        monkeypatch.setattr(ehzcap.capacity, "solve_lp", fail)
+        with pytest.raises(LpNumericalError,
+                           match=r"assignment program \(0, 1, 2\): phase 1"
+                           ) as info:
+            solve_assignment(triangle(), square(),
+                             FacetAssignment((0, 1, 2), np.ones(3) / 3))
+        assert isinstance(info.value.__cause__, LpNumericalError)
+
+    def test_nonoptimal_status_names_the_assignment(self, monkeypatch):
+        monkeypatch.setattr(ehzcap.capacity, "solve_lp",
+                            lambda lp: LpSolution(status="unbounded"))
+        with pytest.raises(LpNumericalError,
+                           match=r"assignment program \(0, 2, 1\) ended with "
+                                 "status unbounded"):
+            solve_assignment(triangle(), square(),
+                             FacetAssignment((0, 2, 1), np.ones(3) / 3))
 
     def test_cube_winner_momenta_lie_in_the_length_body(self):
         winner = ehz_capacity(cube(), cube()).assignment
@@ -384,6 +443,18 @@ class TestIdentityReport:
     @settings(max_examples=10, deadline=None)
     def test_random_pairs_consistent(self, table, geometry):
         assert capacity_identities(table, geometry).consistent
+
+    def test_each_body_is_negated_once(self, monkeypatch):
+        calls = []
+
+        def counting_negate(body):
+            calls.append(body)
+            return negate(body)
+
+        monkeypatch.setattr(ehzcap.capacity, "negate", counting_negate)
+        report = capacity_identities(triangle(), square())
+        assert len(calls) == 2
+        assert report.consistent
 
     def test_full_mode_matches_light_mode(self):
         light = capacity_identities(triangle(), square())
