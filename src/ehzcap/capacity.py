@@ -12,6 +12,14 @@ LP: the vertices of the polytope of hull weights are listed once per table,
 and a facet subset has the property exactly when it contains the support of
 one of them.
 
+Each side runs in three stages: enumerate the assignments, filter them,
+solve one LP per kept assignment.  The filter acts only when the length
+body is centrally symmetric, about some center c.  Then h_T(-d) =
+h_T(d) - 2 c.d, and the linear term sums to zero around a closed curve, so
+a curve traversed backwards keeps its length and a facet cycle has the same
+optimal value as its reverse.  Of each such pair only the lexicographically
+smaller cycle is solved, which is also the one the tie-break reports.
+
 The result is cross-checked four ways: the same enumeration runs with the
 two bodies swapped, and on both sides a strong billiard trajectory of the
 optimal length is reconstructed and verified.  The bounce laws are the KKT
@@ -57,6 +65,7 @@ from .geometry import (
 from .lp import make_lp, solve_lp
 
 VALUE_TIE_TOL = 1e-9
+LENGTH_AGREEMENT_TOL = 1e-8
 QUANTITY_AGREEMENT_TOL = 1e-6
 
 
@@ -130,8 +139,11 @@ def enumerate_assignments(table: ConvexPolytope,
 
     One representative per cyclic rotation class (smallest index first);
     both traversal orientations appear because curve lengths are sensitive
-    to direction for non-symmetric geometry bodies.  Order: by size, then
-    by facet subset, then by permutation of the remaining indices.
+    to direction for non-symmetric geometry bodies.  The enumeration knows
+    nothing of the length body: :func:`_solve_side`'s filter, not this
+    function, drops reversed cycles when the length body is centrally
+    symmetric.  Order: by size, then by facet subset, then by permutation
+    of the remaining indices.
 
     The hull test solves no LP.  The weights putting the origin in the hull
     of a subset's normals form the face of the weight polytope (see
@@ -333,10 +345,48 @@ def _centered_length_body(body: ConvexPolytope):
     return translate(body, -center), center
 
 
+def _centrally_symmetric(body: ConvexPolytope) -> bool:
+    """Whether every vertex mirrored through the vertex centroid is a vertex.
+
+    A centrally symmetric polytope's vertices come in antipodal pairs, so
+    its center is the vertex centroid.  The tolerance is ``GEOM_TOL`` times
+    the largest vertex distance from the centroid, because the value error
+    near-symmetry could cause scales with the body's size.
+    """
+    spread = body.vertices - body.vertices.mean(axis=0)
+    tol = GEOM_TOL * np.linalg.norm(spread, axis=1).max()
+    mirror_gap = np.linalg.norm(spread[:, None, :] + spread[None, :, :],
+                                axis=2).min(axis=1)
+    return bool(np.all(mirror_gap <= tol))
+
+
+def _one_orientation(assignments: tuple[FacetAssignment, ...]):
+    """Keep each 2-cycle and the lexicographically smaller of every cycle
+    and its reverse.
+
+    The reverse of (i0, i1, ..., ik) starts at the same smallest facet and
+    is (i0, ik, ..., i1), so the smaller of the two has i1 < ik.
+    """
+    return tuple(a for a in assignments
+                 if a.size == 2 or a.indices[1] < a.indices[-1])
+
+
 def _solve_side(table: ConvexPolytope, geometry: ConvexPolytope) -> _SideSolve:
+    """Minimum over the table's facet assignments, in three stages.
+
+    Enumerate every assignment; filter, solving only one orientation of
+    each facet cycle when the centered length body is centrally symmetric
+    (a reversed curve then keeps its length, see the module docstring);
+    solve one assignment LP per kept assignment.  The tie set holds every
+    solved assignment within ``VALUE_TIE_TOL`` of the minimum, sorted by
+    indices.  The filter keeps the smaller cycle of each reversed pair, so
+    the first tied assignment is the one the unfiltered search would give.
+    """
     length_body, shift = _centered_length_body(geometry)
-    solutions = [solve_assignment(table, length_body, a)
-                 for a in enumerate_assignments(table)]
+    assignments = enumerate_assignments(table)
+    if _centrally_symmetric(length_body):
+        assignments = _one_orientation(assignments)
+    solutions = [solve_assignment(table, length_body, a) for a in assignments]
     value = min(s.value for s in solutions)
     tie = VALUE_TIE_TOL * (1.0 + abs(value))
     tied = sorted((s for s in solutions if s.value <= value + tie),
@@ -441,7 +491,8 @@ def ehz_capacity(table: ConvexPolytope, geometry: ConvexPolytope) -> CapacityRes
         raise LpNumericalError("minimizing curve is not pinned; assignment "
                                "certificates are inconsistent")
     check = minkowski_length(primary.length_body, q_star)
-    if abs(check - primary.value) > 1e-8 * (1.0 + abs(primary.value)):
+    if (abs(check - primary.value)
+            > LENGTH_AGREEMENT_TOL * (1.0 + abs(primary.value))):
         raise LpNumericalError("canonical minimizer changed length; curve "
                                "cleanup lost a segment")
 
@@ -451,7 +502,8 @@ def ehz_capacity(table: ConvexPolytope, geometry: ConvexPolytope) -> CapacityRes
     dual_curve = None
     if bill_q is not None:
         billiard_length = minkowski_length(primary.length_body, bill_q)
-        if abs(billiard_length - primary.value) > 1e-8 * (1.0 + primary.value):
+        if (abs(billiard_length - primary.value)
+                > LENGTH_AGREEMENT_TOL * (1.0 + primary.value)):
             note = (f"realized trajectory has length {billiard_length!r} "
                     f"instead of {primary.value!r}")
             bill_q, billiard_length = None, None
@@ -469,7 +521,8 @@ def ehz_capacity(table: ConvexPolytope, geometry: ConvexPolytope) -> CapacityRes
     swapped_length = None
     if swap_q is not None:
         swapped_length = minkowski_length(swapped.length_body, swap_q)
-        if abs(swapped_length - swapped.value) > 1e-8 * (1.0 + swapped.value):
+        if (abs(swapped_length - swapped.value)
+                > LENGTH_AGREEMENT_TOL * (1.0 + swapped.value)):
             swapped_length = None
             swap_note = "swapped realization length mismatch"
     if swapped_length is None and swap_note:

@@ -218,7 +218,7 @@ def _pivot(tab: np.ndarray, row: int, col: int) -> None:
     tab -= np.outer(factors, tab[row])
 
 
-def _run_simplex(tab: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
+def _run_simplex(tab: np.ndarray, basis: np.ndarray,
                  iterations: list[int]) -> tuple[str, int]:
     """Run simplex on a tableau whose last row is the reduced-cost row and
     last column the rhs.  Returns ('optimal', -1) or ('unbounded', col).
@@ -238,7 +238,7 @@ def _run_simplex(tab: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
         if iterations[0] > MAX_PIVOTS:
             raise LpNumericalError("pivot limit exceeded")
         red = tab[-1, :-1]
-        candidates = np.flatnonzero((red < -PIVOT_TOL) & allowed)
+        candidates = np.flatnonzero(red < -PIVOT_TOL)
         if candidates.size == 0:
             return "optimal", -1
         enter = int(candidates[0])  # Bland: lowest index
@@ -305,8 +305,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         for r in range(m):
             if basis[r] >= ncols:
                 tab[-1] -= tab[r]
-        allowed = np.ones(ncols + n_art, dtype=bool)
-        status, _ = _run_simplex(tab, basis, allowed, iterations)
+        status, _ = _run_simplex(tab, basis, iterations)
         if status != "optimal":  # phase 1 is bounded below by zero
             raise LpNumericalError("phase 1 reported unbounded")
         phase1_obj = -tab[-1, -1]
@@ -342,8 +341,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         cb = tab[-1, basis[r]]
         if cb != 0.0:
             tab[-1] -= cb * tab[r]
-    allowed = np.ones(ncols, dtype=bool)
-    status, _ = _run_simplex(tab, basis, allowed, iterations)
+    status, _ = _run_simplex(tab, basis, iterations)
     if status == "unbounded":
         return LpSolution(status="unbounded", iterations=iterations[0])
 

@@ -5,6 +5,7 @@ across the criteria that reuse them, so the suite measures the same
 instances it certifies.
 """
 
+import math
 import time
 
 import numpy as np
@@ -13,15 +14,19 @@ import pytest
 from ehzcap.billiards import verify_strong, verify_weak
 from ehzcap.bodies import named_body, perturbed_body, random_polygon
 from ehzcap.capacity import (
+    _centrally_symmetric,
     brute_force_oracle,
     capacity_identities,
     ehz_capacity,
 )
 from ehzcap.curves import discrete_action, minkowski_length
+from ehzcap.errors import InvalidBodyError
 from ehzcap.geometry import (
+    ConvexPolytope,
     affine_image,
     chebyshev_center,
     negate,
+    polar,
     support_function,
     translate,
 )
@@ -33,12 +38,38 @@ ORACLE_RELATIVE_BOUND = 0.03
 ORACLE_DOMINANCE_SLACK = 1e-8
 SCALING_REL_TOL = 1e-8
 MONOTONICITY_SLACK = 1e-8
+LITERATURE_REL_TOL = 1e-9
 
 
 def centered_random_polygon(k, seed):
     body = random_polygon(k, seed)
     center, _ = chebyshev_center(body)
     return translate(body, -center)
+
+
+def regular_pentagon(quarter_turns):
+    angles = (np.pi / 2 + quarter_turns * np.pi / 2
+              + 2 * np.pi * np.arange(5) / 5)
+    return ConvexPolytope.from_vertices(
+        np.column_stack([np.cos(angles), np.sin(angles)]))
+
+
+def polygon_area(body):
+    """Shoelace area over the angle-sorted vertices."""
+    v = body.vertices - body.vertices.mean(axis=0)
+    v = v[np.argsort(np.arctan2(v[:, 1], v[:, 0]))]
+    return 0.5 * abs(float(v[:, 0] @ np.roll(v[:, 1], -1)
+                           - v[:, 1] @ np.roll(v[:, 0], -1)))
+
+
+def random_symmetric_polygon(rng):
+    """Hull of 2 to 5 random points and their negatives, centered at 0."""
+    while True:
+        half = rng.uniform(-2, 2, size=(int(rng.randint(2, 6)), 2))
+        try:
+            return ConvexPolytope.from_vertices(np.vstack([half, -half]))
+        except InvalidBodyError:
+            continue
 
 
 def raw_length(body, points):
@@ -239,3 +270,38 @@ def test_criterion_11_scaling_and_monotonicity(criterion):
             shrunk = ehz_capacity(affine_image(table, 0.9), geometry).value
             assert shrunk <= base + MONOTONICITY_SLACK
         c.detail = f"worst scaling error {worst_scaling:.2e} relative"
+
+
+def test_criterion_12_pentagon_systolic_ratio(criterion):
+    with criterion(12, "regular pentagon x its 90-degree rotation: systolic "
+                       "ratio (3 + sqrt 5)/5 within 1e-9 relative "
+                       "(Haim-Kislev & Ostrover 2024)") as c:
+        pentagon, turned = regular_pentagon(0), regular_pentagon(1)
+        # no reversal filter on either side
+        assert not _centrally_symmetric(pentagon)
+        assert not _centrally_symmetric(turned)
+        result = ehz_capacity(pentagon, turned)
+        assert result.quantities.consistent
+        ratio = result.value ** 2 / (2.0 * polygon_area(pentagon)
+                                     * polygon_area(turned))
+        expected = (3.0 + math.sqrt(5.0)) / 5.0
+        assert abs(ratio - expected) <= LITERATURE_REL_TOL * expected
+        c.detail = f"ratio {ratio:.12f}, expected {expected:.12f}"
+
+
+def test_criterion_13_symmetric_body_and_polar(criterion):
+    with criterion(13, "c(K x K polar) = 4 within 1e-9 on 10 random "
+                       "centrally symmetric polygons (Artstein-Avidan, "
+                       "Karasev & Ostrover 2014)") as c:
+        rng = np.random.RandomState(2014)
+        worst = 0.0
+        for _ in range(10):
+            body = random_symmetric_polygon(rng)
+            dual = polar(body)
+            # both sides solve one orientation per facet cycle
+            assert _centrally_symmetric(body) and _centrally_symmetric(dual)
+            result = ehz_capacity(body, dual)
+            assert result.quantities.consistent
+            assert abs(result.value - 4.0) <= LITERATURE_REL_TOL * 4.0
+            worst = max(worst, abs(result.value - 4.0))
+        c.detail = f"10 polygons, worst |c - 4| {worst:.1e}"

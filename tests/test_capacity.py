@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import ehzcap.capacity
 from ehzcap.bodies import named_body, perturbed_body
 from ehzcap.capacity import (
+    VALUE_TIE_TOL,
     FacetAssignment,
     boundary_grid,
     brute_force_oracle,
@@ -14,8 +15,12 @@ from ehzcap.capacity import (
     ehz_capacity,
     enumerate_assignments,
     solve_assignment,
+    _centered_length_body,
+    _centrally_symmetric,
     _margin_dual_vertices,
     _merge_degenerate_pairs,
+    _one_orientation,
+    _solve_side,
 )
 from ehzcap.curves import (
     ClosedPolygonalCurve,
@@ -69,6 +74,18 @@ def simplex_4d():
     return ConvexPolytope.from_vertices(pts - pts.mean(axis=0))
 
 
+def tesseract():
+    corners = [[sx, sy, sz, sw] for sx in (-1, 1) for sy in (-1, 1)
+               for sz in (-1, 1) for sw in (-1, 1)]
+    return ConvexPolytope.from_vertices(corners)
+
+
+def regular_pentagon():
+    angles = np.pi / 2 + 2 * np.pi * np.arange(5) / 5
+    return ConvexPolytope.from_vertices(
+        np.column_stack([np.cos(angles), np.sin(angles)]))
+
+
 def facet_index(body, direction):
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
@@ -89,6 +106,23 @@ def centered_polygons(draw, min_pts=4, max_pts=7):
             continue
         return translate(body, -chebyshev_center(body)[0])
     return square()
+
+
+@st.composite
+def symmetric_polygons_off_center(draw):
+    """A centrally symmetric polygon whose center is moved off the origin,
+    sometimes far enough that the origin leaves the body."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.RandomState(seed)
+    for _ in range(50):
+        half = rng.uniform(-2, 2, size=(int(rng.randint(2, 5)), 2)).round(3)
+        center = rng.uniform(-3, 3, size=2).round(3)
+        try:
+            body = ConvexPolytope.from_vertices(np.vstack([half, -half]))
+        except InvalidBodyError:
+            continue
+        return translate(body, center)
+    return translate(square(), [0.3, -0.2])
 
 
 class TestEnumerateAssignments:
@@ -227,6 +261,73 @@ class TestSolveAssignment:
         points, momenta = _merge_degenerate_pairs(out.points, out.momenta)
         assert verify_strong(cube(), cube(), ClosedPolygonalCurve(points),
                              momenta).verified
+
+
+SYMMETRIC_BODIES = {
+    "square": square,
+    "cross-polytope": cross,
+    "cube": cube,
+    "octahedron": octahedron,
+    "tesseract": tesseract,
+    "translated-square": lambda: translate(square(), [0.3, -0.2]),
+}
+ASYMMETRIC_BODIES = {
+    "triangle": triangle,
+    "regular-pentagon": regular_pentagon,
+    "simplex-3d": lambda: named_body("simplex-3d"),
+    "4-simplex": simplex_4d,
+    "perturbed-square": lambda: perturbed_body(square(), 1e-6, seed=0),
+}
+
+
+class TestReversalFilter:
+    @pytest.mark.parametrize("name", SYMMETRIC_BODIES)
+    def test_symmetric_bodies_are_detected(self, name):
+        assert _centrally_symmetric(SYMMETRIC_BODIES[name]())
+
+    @pytest.mark.parametrize("name", ASYMMETRIC_BODIES)
+    def test_asymmetric_bodies_are_not(self, name):
+        assert not _centrally_symmetric(ASYMMETRIC_BODIES[name]())
+
+    def test_cube_keeps_one_orientation_of_each_cycle(self):
+        table, lengths = cube(), octahedron()
+        every = enumerate_assignments(table)
+        kept = _one_orientation(every)
+        assert (len(every), len(kept)) == (117, 60)
+        values = {a.indices: solve_assignment(table, lengths, a).value
+                  for a in every}
+        for a in kept:
+            reverse = a.indices[:1] + a.indices[:0:-1]
+            assert abs(values[reverse] - values[a.indices]) <= (
+                1e-12 * values[a.indices])
+
+    @pytest.mark.parametrize("lengths, solved", [(square, 6), (triangle, 10)])
+    def test_filter_runs_only_for_symmetric_lengths(self, monkeypatch,
+                                                    lengths, solved):
+        calls = []
+
+        def counting(table, length_body, assignment):
+            calls.append(assignment.indices)
+            return solve_assignment(table, length_body, assignment)
+
+        monkeypatch.setattr(ehzcap.capacity, "solve_assignment", counting)
+        _solve_side(square(), lengths())
+        assert len(calls) == solved
+
+    @given(centered_polygons(), symmetric_polygons_off_center())
+    @settings(max_examples=15, deadline=None)
+    def test_filtered_side_matches_every_assignment(self, table, geometry):
+        side = _solve_side(table, geometry)
+        length_body, _ = _centered_length_body(geometry)
+        assert _centrally_symmetric(length_body)
+        every = [solve_assignment(table, length_body, a)
+                 for a in enumerate_assignments(table)]
+        value = min(s.value for s in every)
+        assert abs(side.value - value) <= 1e-12 * value
+        tie = VALUE_TIE_TOL * (1.0 + abs(value))
+        first = min((s for s in every if s.value <= value + tie),
+                    key=lambda s: s.assignment.indices)
+        assert side.tied[0].assignment.indices == first.assignment.indices
 
 
 class TestMergeDegeneratePairs:
