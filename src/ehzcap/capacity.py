@@ -133,10 +133,12 @@ def _margin_dual_vertices(table: ConvexPolytope) -> np.ndarray:
     return np.array(keep)
 
 
-def enumerate_assignments(table: ConvexPolytope,
-                          m_max: int | None = None) -> tuple[FacetAssignment, ...]:
-    """All valid facet assignments with 2 to m_max facets, in a fixed order.
+def enumerate_assignments(table: ConvexPolytope) -> tuple[FacetAssignment, ...]:
+    """All valid facet assignments with 2 to n + 1 facets, in a fixed order.
 
+    Here n is the table's dimension: some shortest closed billiard
+    trajectory has at most n + 1 bounce points, so no larger assignment is
+    needed.
     One representative per cyclic rotation class (smallest index first);
     both traversal orientations appear because curve lengths are sensitive
     to direction for non-symmetric geometry bodies.  The enumeration knows
@@ -153,16 +155,12 @@ def enumerate_assignments(table: ConvexPolytope,
     first such vertex, restricted to the subset, gives the hull weights.
     """
     n = table.dim
-    if m_max is None:
-        m_max = n + 1
-    if m_max < 2:
-        raise ValueError("assignments need at least two facets")
     f = table.num_facets
     vertices = _margin_dual_vertices(table)
     supports = vertices > GEOM_TOL
     support_sizes = supports.sum(axis=1)
     out = []
-    for m in range(2, min(m_max, f) + 1):
+    for m in range(2, min(n + 1, f) + 1):
         subsets = list(combinations(range(f), m))
         members = np.zeros((len(subsets), f), dtype=bool)
         members[np.arange(len(subsets))[:, None], subsets] = True

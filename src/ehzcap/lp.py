@@ -7,6 +7,13 @@ terminal basis against the original data, so the reported solution, duals
 and active set carry no tableau round-off.  Identical inputs take identical
 pivot sequences, so outputs are bitwise reproducible on one platform.
 
+The pivot path is part of that guarantee: which programs solve and which
+raise, and every bit of an answer, follow from it.  So the simplex loop
+may be made faster only by doing the same floating-point operations on the
+same operands in the same order; the tests run it against a reference copy
+of an earlier version on recorded tableaux and require the same pivots and
+the same tableau bytes.
+
 Problems are stated as
 
     minimize c.x  subject to  a_ub @ x <= b_ub,  a_eq @ x == b_eq,
@@ -33,6 +40,11 @@ FEASIBILITY_TOL = 1e-9
 COMPLEMENTARITY_TOL = 1e-8
 DUALITY_GAP_TOL = 1e-8
 PIVOT_TOL = 1e-10
+RATIO_TIE_TOL = 1e-9  # min-ratio tie width, relative to 1 + |min ratio|
+STALL_TOL = 1e-12  # objective change, relative, that ends a degenerate stall
+INFEASIBILITY_TOL = 1e-8  # phase-1 optimum, relative to 1 + max rhs
+DRIVE_OUT_TOL = 1e-9  # pivot entry, relative to its row, to drive an artificial out
+BOUND_ACTIVE_TOL = 1e-7  # distance, relative, at which _validate calls a bound active
 STALL_LIMIT = 100
 MAX_PIVOTS = 50_000
 
@@ -62,7 +74,9 @@ class LpSolution:
     ``status`` is one of ``"optimal"``, ``"infeasible"``, ``"unbounded"``.
     ``x``/``objective``/duals are populated only for ``"optimal"``.
     ``active_ub`` lists the inequality rows tight at the solution within
-    ``FEASIBILITY_TOL`` scale.
+    ``FEASIBILITY_TOL`` scale.  ``iterations`` counts the passes of the
+    simplex loop (each pivot, and the pricing pass that ends each phase) and
+    the pivots that drive artificials out of the basis after phase 1.
     """
 
     status: str
@@ -212,10 +226,13 @@ class _StandardForm:
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
-    tab[row] /= tab[row, col]
+    prow = tab[row]
+    prow /= prow[col]
     factors = tab[:, col].copy()
     factors[row] = 0.0
-    tab -= np.outer(factors, tab[row])
+    # Every row takes the update, even where its factor is zero: skipping
+    # it would keep a -0.0 that the subtraction turns into 0.0.
+    tab -= factors[:, None] * prow
 
 
 def _run_simplex(tab: np.ndarray, basis: np.ndarray,
@@ -233,33 +250,45 @@ def _run_simplex(tab: np.ndarray, basis: np.ndarray,
     """
     stall = 0
     last_value = tab[-1, -1]
+    red = tab[-1, :-1]  # views: _pivot updates tab in place
+    rhs = tab[:-1, -1]
+    body = tab[:-1]
+    # A reduction below reads one element at its arg-index, which costs a
+    # fraction of max()/min() on arrays this small and returns the same
+    # value, NaN included.
     while True:
         iterations[0] += 1
         if iterations[0] > MAX_PIVOTS:
             raise LpNumericalError("pivot limit exceeded")
-        red = tab[-1, :-1]
-        candidates = np.flatnonzero(red < -PIVOT_TOL)
-        if candidates.size == 0:
+        improving = red < -PIVOT_TOL
+        enter = int(improving.argmax())  # Bland: lowest index
+        if not improving[enter]:
             return "optimal", -1
-        enter = int(candidates[0])  # Bland: lowest index
-        col = tab[:-1, enter]
-        threshold = PIVOT_TOL * max(1.0, float(np.abs(col).max()))
-        rows = np.flatnonzero(col > threshold)
+        col = body[:, enter]
+        mags = abs(col)
+        threshold = PIVOT_TOL * max(1.0, mags.item(mags.argmax()))
+        rows = (col > threshold).nonzero()[0]
         if rows.size == 0:
             return "unbounded", enter
+        pivots = col[rows]
         # Clamp small negative rhs drift; a positive pivot over a negative
         # rhs would otherwise win the ratio test and amplify the drift.
-        ratios = np.maximum(tab[rows, -1], 0.0) / col[rows]
-        rmin = ratios.min()
-        tie = rows[ratios <= rmin + 1e-9 * (1.0 + abs(rmin))]
+        ratios = np.maximum(rhs[rows], 0.0) / pivots
+        rmin = ratios.item(ratios.argmin())
+        if rmin != rmin:  # a NaN ratio; no row would tie
+            raise LpNumericalError("ratio test met a NaN in the tableau")
+        tie = ratios <= rmin + RATIO_TIE_TOL * (1.0 + abs(rmin))
         if stall > STALL_LIMIT:
-            leave = int(tie[np.argmin(basis[tie])])  # strict Bland
+            tied = rows[tie]
+            leave = int(tied[np.argmin(basis[tied])])  # strict Bland
         else:
-            leave = int(tie[np.argmax(col[tie])])  # largest pivot element
+            # Largest pivot element among the ties: pivots are positive, so
+            # zeroing the others leaves argmax on the first of the largest.
+            leave = int(rows[(pivots * tie).argmax()])
         _pivot(tab, leave, enter)
         basis[leave] = enter
         value = tab[-1, -1]
-        if abs(value - last_value) > 1e-12 * (1.0 + abs(value)):
+        if abs(value - last_value) > STALL_TOL * (1.0 + abs(value)):
             stall = 0
         else:
             stall += 1
@@ -281,49 +310,46 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         return _finish(lp, sf, z, np.zeros(0), np.array([], dtype=int), 0)
 
     # Initial basis: slack where possible (unflipped ub rows), else artificial.
-    basis = np.full(m, -1, dtype=int)
-    need_art = []
-    for r in range(m):
-        if r < sf.n_ub_all and sf.row_sign[r] > 0:
-            basis[r] = sf.nz + r
-        else:
-            need_art.append(r)
-    n_art = len(need_art)
+    has_slack = np.zeros(m, dtype=bool)
+    has_slack[: sf.n_ub_all] = sf.row_sign[: sf.n_ub_all] > 0
+    need_art = np.flatnonzero(~has_slack)
+    n_art = need_art.size
+    basis = sf.nz + np.arange(m)
+    basis[need_art] = ncols + np.arange(n_art)
     tab = np.zeros((m + 1, ncols + n_art + 1))
     tab[:m, :ncols] = amat
     tab[:m, -1] = bvec
-    for j, r in enumerate(need_art):
-        tab[r, ncols + j] = 1.0
-        basis[r] = ncols + j
+    tab[need_art, ncols:-1] = np.eye(n_art)
 
-    art_scale = 1.0 + float(np.max(bvec)) if m else 1.0
+    art_scale = 1.0 + float(np.max(bvec))
     if n_art:
-        # Phase 1: minimize the sum of artificials.
-        cost1 = np.zeros(ncols + n_art)
-        cost1[ncols:] = 1.0
-        tab[-1, :-1] = cost1
-        for r in range(m):
-            if basis[r] >= ncols:
-                tab[-1] -= tab[r]
+        # Phase 1: minimize the sum of artificials.  Pricing subtracts the
+        # artificial rows one at a time in row order; subtracting their sum
+        # would round differently.
+        tab[-1, ncols:-1] = 1.0
+        for r in need_art:
+            tab[-1] -= tab[r]
         status, _ = _run_simplex(tab, basis, iterations)
         if status != "optimal":  # phase 1 is bounded below by zero
             raise LpNumericalError("phase 1 reported unbounded")
         phase1_obj = -tab[-1, -1]
-        if phase1_obj > 1e-8 * art_scale:
+        if phase1_obj > INFEASIBILITY_TOL * art_scale:
             return LpSolution(status="infeasible", iterations=iterations[0])
         # Drive remaining artificials out of the basis or drop their rows.
+        # A pivot on row r changes only basis[r], so the rows can be listed
+        # up front.
         drop_rows = []
-        for r in range(m):
-            if basis[r] >= ncols:
-                row = tab[r, :ncols]
-                scale = max(1.0, float(np.abs(row).max()))
-                nz = np.flatnonzero(np.abs(row) > 1e-9 * scale)
-                if nz.size:
-                    col = int(nz[np.argmax(np.abs(row[nz]))])
-                    _pivot(tab, r, col)
-                    basis[r] = col
-                else:
-                    drop_rows.append(r)
+        for r in np.flatnonzero(basis >= ncols):
+            mags = abs(tab[r, :ncols])
+            scale = max(1.0, float(mags.max()))
+            nz = (mags > DRIVE_OUT_TOL * scale).nonzero()[0]
+            if nz.size:
+                col = int(nz[mags[nz].argmax()])
+                _pivot(tab, r, col)
+                basis[r] = col
+                iterations[0] += 1
+            else:
+                drop_rows.append(r)
         if drop_rows:
             keep = np.setdiff1d(np.arange(m), drop_rows)
             kept_mask = np.zeros(m, dtype=bool)
@@ -334,13 +360,13 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             m = len(keep)
     tab = np.hstack([tab[:, :ncols], tab[:, -1:]])  # drop artificial columns
 
-    # Phase 2.
+    # Phase 2.  Basic columns are exact unit vectors, so pricing out a row
+    # leaves the cost of every other basic column as it was: only rows whose
+    # basic column costs something change the cost row.
     tab[-1, :-1] = sf.cost
     tab[-1, -1] = 0.0
-    for r in range(m):
-        cb = tab[-1, basis[r]]
-        if cb != 0.0:
-            tab[-1] -= cb * tab[r]
+    for r in np.flatnonzero(sf.cost[basis]):
+        tab[-1] -= tab[-1, basis[r]] * tab[r]
     status, _ = _run_simplex(tab, basis, iterations)
     if status == "unbounded":
         return LpSolution(status="unbounded", iterations=iterations[0])
@@ -403,8 +429,8 @@ def _validate(lp: LinearProgram, x, mu, nu) -> None:
         g += lp.a_eq.T @ nu
     scale_c = 1.0 + float(np.max(np.abs(lp.c))) if lp.c.size else 1.0
     for k, (lo, hi) in enumerate(lp.bounds):
-        at_lo = lo is not None and x[k] <= lo + 1e-7 * (1 + abs(lo))
-        at_hi = hi is not None and x[k] >= hi - 1e-7 * (1 + abs(hi))
+        at_lo = lo is not None and x[k] <= lo + BOUND_ACTIVE_TOL * (1 + abs(lo))
+        at_hi = hi is not None and x[k] >= hi - BOUND_ACTIVE_TOL * (1 + abs(hi))
         gk = g[k]
         if at_lo and at_hi:
             continue

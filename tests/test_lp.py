@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from ehzcap import lp
+from ehzcap.bodies import named_body, perturbed_body, random_polygon
+from ehzcap.capacity import enumerate_assignments, solve_assignment
 from ehzcap.errors import LpNumericalError
+from ehzcap.geometry import chebyshev_center, translate
 from ehzcap.lp import make_lp, solve_lp
 
 
@@ -119,3 +123,114 @@ def test_shape_validation():
         make_lp([1.0, 2.0], a_ub=[[1.0]], b_ub=[1.0])
     with pytest.raises(ValueError):
         make_lp([np.nan])
+
+
+def test_drive_out_pivots_are_counted():
+    # minimize x s.t. x + y = 0, x - y = 0, x, y >= 0.  Phase 1 pivots x in
+    # and prices once more; it stops with the second artificial basic at
+    # level zero, and one pivot on y drives it out.  Phase 2 prices once.
+    sol = solve_lp(make_lp([1.0, 0.0], a_eq=[[1.0, 1.0], [1.0, -1.0]],
+                           b_eq=[0.0, 0.0], bounds=[(0.0, None)] * 2))
+    assert sol.status == "optimal"
+    assert sol.iterations == 2 + 1 + 1
+
+
+# The simplex loop as it was before it was rewritten for fewer NumPy calls
+# per pivot.  The rewrite must take the same pivots and leave the same bits.
+
+def _reference_pivot(tab, row, col):
+    tab[row] /= tab[row, col]
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    tab -= np.outer(factors, tab[row])
+
+
+def _reference_run_simplex(tab, basis, iterations):
+    stall = 0
+    last_value = tab[-1, -1]
+    while True:
+        iterations[0] += 1
+        if iterations[0] > lp.MAX_PIVOTS:
+            raise LpNumericalError("pivot limit exceeded")
+        red = tab[-1, :-1]
+        candidates = np.flatnonzero(red < -lp.PIVOT_TOL)
+        if candidates.size == 0:
+            return "optimal", -1
+        enter = int(candidates[0])
+        col = tab[:-1, enter]
+        threshold = lp.PIVOT_TOL * max(1.0, float(np.abs(col).max()))
+        rows = np.flatnonzero(col > threshold)
+        if rows.size == 0:
+            return "unbounded", enter
+        ratios = np.maximum(tab[rows, -1], 0.0) / col[rows]
+        rmin = ratios.min()
+        tie = rows[ratios <= rmin + 1e-9 * (1.0 + abs(rmin))]
+        if stall > lp.STALL_LIMIT:
+            leave = int(tie[np.argmin(basis[tie])])
+        else:
+            leave = int(tie[np.argmax(col[tie])])
+        _reference_pivot(tab, leave, enter)
+        basis[leave] = enter
+        value = tab[-1, -1]
+        if abs(value - last_value) > 1e-12 * (1.0 + abs(value)):
+            stall = 0
+        else:
+            stall += 1
+        last_value = value
+
+
+@pytest.fixture(scope="module")
+def recorded_tableaux():
+    """Every tableau that enters the simplex loop while solving assignment
+    programs: square x triangle, the first pair of the 2-D acceptance suite,
+    and the perturbed cube assignment whose phase 1 reports unbounded."""
+    def centered(body):
+        return translate(body, -chebyshev_center(body)[0])
+
+    rng = np.random.RandomState(20240814)
+    k_table, k_geom = int(rng.randint(5, 9)), int(rng.randint(5, 9))
+    pairs = [(named_body("square"), centered(named_body("triangle"))),
+             (centered(random_polygon(k_table, 1000)),
+              centered(random_polygon(k_geom, 2000)))]
+    tableaux = []
+    run_simplex = lp._run_simplex
+
+    def recording(tab, basis, iterations):
+        tableaux.append((tab.copy(), basis.copy()))
+        return run_simplex(tab, basis, iterations)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_run_simplex", recording)
+        for table, geometry in pairs:
+            for assignment in enumerate_assignments(table):
+                solve_assignment(table, geometry, assignment)
+        cube = perturbed_body(named_body("cube"), 1e-2, seed=0)
+        assignment, = [a for a in enumerate_assignments(cube)
+                       if a.indices == (0, 7, 3, 9)]
+        with pytest.raises(LpNumericalError,
+                           match="phase 1 reported unbounded"):
+            solve_assignment(cube, named_body("octahedron"), assignment)
+    return tableaux
+
+
+def _outcome(run, tab, basis):
+    iterations = [0]
+    try:
+        result = run(tab, basis, iterations)
+    except LpNumericalError as exc:
+        result = str(exc)
+    return result, iterations[0]
+
+
+@pytest.mark.parametrize("stall_limit", [lp.STALL_LIMIT, 0])
+def test_kernel_is_bit_identical_to_reference(recorded_tableaux, stall_limit,
+                                              monkeypatch):
+    # STALL_LIMIT = 0 sends every degenerate stretch through strict Bland.
+    monkeypatch.setattr(lp, "STALL_LIMIT", stall_limit)
+    for tab, basis in recorded_tableaux:
+        ref_tab, ref_basis = tab.copy(), basis.copy()
+        new_tab, new_basis = tab.copy(), basis.copy()
+        expected = _outcome(_reference_run_simplex, ref_tab, ref_basis)
+        assert _outcome(lp._run_simplex, new_tab, new_basis) == expected
+        assert np.array_equal(new_basis, ref_basis)
+        assert new_tab.tobytes() == ref_tab.tobytes()
