@@ -5,12 +5,14 @@ the shortest length, measured by T, of a closed curve with at most dim+1
 vertices that cannot be translated into the interior of K.  A minimizing
 curve can always be translated to touch the boundary, and the touched
 facets then carry the origin in the convex hull of their outward normals.
-The solver therefore enumerates the small cyclic facet sequences with that
-hull property, solves one linear program per sequence for the shortest
-touching curve, and takes the minimum.  The hull property itself needs no
-LP: the vertices of the polytope of hull weights are listed once per table,
-and a facet subset has the property exactly when it contains the support of
-one of them.
+The solver therefore enumerates cyclic facet sequences with that hull
+property, solves one linear program per sequence for the shortest touching
+curve, and takes the minimum.  The hull property itself needs no LP: the
+vertices of the polytope of hull weights are listed once per table, and a
+facet set has the property exactly when it contains the support of one of
+them.  Only those vertex supports, the minimal sets, are enumerated: a
+curve's points on facets outside such a support can be dropped without
+lengthening it or letting it be translated into the interior.
 
 Each side runs in three stages: enumerate the assignments, filter them,
 solve one LP per kept assignment.  The filter acts only when the length
@@ -75,8 +77,8 @@ class FacetAssignment:
 
     ``hull_weights`` certifies the defining property: nonnegative weights
     summing to one that combine the assigned facet normals to zero.  They
-    are a vertex of the table's weight polytope supported on the assigned
-    facets, restricted to them and renormalized.
+    are the vertex of the table's weight polytope whose support is the
+    assigned facets, read in the assignment's order, without renormalizing.
     """
 
     indices: tuple[int, ...]
@@ -134,50 +136,44 @@ def _margin_dual_vertices(table: ConvexPolytope) -> np.ndarray:
 
 
 def enumerate_assignments(table: ConvexPolytope) -> tuple[FacetAssignment, ...]:
-    """All valid facet assignments with 2 to n + 1 facets, in a fixed order.
+    """The cyclic orders of the minimal supports of the table, in a fixed order.
 
-    Here n is the table's dimension: some shortest closed billiard
-    trajectory has at most n + 1 bounce points, so no larger assignment is
-    needed.
+    A facet set qualifies when the origin lies in the convex hull of its
+    normals.  Those weights form the face of the weight polytope (see
+    :func:`_margin_dual_vertices`) where the other facets weigh zero, so a
+    set qualifies exactly when it contains the support (the entries above
+    ``GEOM_TOL``) of a vertex.  Only the vertex supports themselves are
+    enumerated.  Take an assignment whose set strictly contains a vertex
+    support σ and drop its points on the facets outside σ: the curve gets
+    no longer, because the support function of the length body is
+    sublinear, and it still touches the facets of σ, so it still cannot be
+    translated into the interior.  The minimum over all qualifying sets is
+    therefore the minimum over the vertex supports.  A vertex support has
+    at most n + 1 facets, n the table's dimension.  The hull weights are
+    the vertex itself, read in the assignment's order; no LP is solved.
+
     One representative per cyclic rotation class (smallest index first);
     both traversal orientations appear because curve lengths are sensitive
     to direction for non-symmetric geometry bodies.  The enumeration knows
     nothing of the length body: :func:`_solve_side`'s filter, not this
     function, drops reversed cycles when the length body is centrally
-    symmetric.  Order: by size, then by facet subset, then by permutation
-    of the remaining indices.
-
-    The hull test solves no LP.  The weights putting the origin in the hull
-    of a subset's normals form the face of the weight polytope (see
-    :func:`_margin_dual_vertices`) where the other facets weigh zero, and a
-    nonempty face holds a vertex.  So a subset qualifies exactly when it
-    contains the support of a vertex, which is listed once per table; the
-    first such vertex, restricted to the subset, gives the hull weights.
+    symmetric.  Order: by size, then by facet set, then by permutation of
+    the remaining indices.
     """
-    n = table.dim
-    f = table.num_facets
-    vertices = _margin_dual_vertices(table)
-    supports = vertices > GEOM_TOL
-    support_sizes = supports.sum(axis=1)
+    # The vertex rows can hold one vertex twice, a few ulps apart, when
+    # another row sorts between the copies; the first copy is kept.
+    by_support = {}
+    for vertex in _margin_dual_vertices(table):
+        support = tuple(int(i) for i in np.flatnonzero(vertex > GEOM_TOL))
+        by_support.setdefault(support, vertex)
     out = []
-    for m in range(2, min(n + 1, f) + 1):
-        subsets = list(combinations(range(f), m))
-        members = np.zeros((len(subsets), f), dtype=bool)
-        members[np.arange(len(subsets))[:, None], subsets] = True
-        first_vertex = np.full(len(subsets), -1)
-        for k in np.flatnonzero(support_sizes <= m):
-            hit = (first_vertex < 0) & members[:, supports[k]].all(axis=1)
-            first_vertex[hit] = k
-        for subset, k in zip(subsets, first_vertex):
-            if k < 0:
-                continue
-            vertex = vertices[k]
-            total = vertex[list(subset)].sum()
-            for perm in permutations(subset[1:]):
-                order = (subset[0],) + perm
-                w = vertex[list(order)] / total
-                w.flags.writeable = False
-                out.append(FacetAssignment(indices=order, hull_weights=w))
+    for support in sorted(by_support, key=lambda s: (len(s), s)):
+        vertex = by_support[support]
+        for perm in permutations(support[1:]):
+            order = (support[0],) + perm
+            w = vertex[list(order)]
+            w.flags.writeable = False
+            out.append(FacetAssignment(indices=order, hull_weights=w))
     return tuple(out)
 
 
@@ -372,13 +368,17 @@ def _one_orientation(assignments: tuple[FacetAssignment, ...]):
 def _solve_side(table: ConvexPolytope, geometry: ConvexPolytope) -> _SideSolve:
     """Minimum over the table's facet assignments, in three stages.
 
-    Enumerate every assignment; filter, solving only one orientation of
-    each facet cycle when the centered length body is centrally symmetric
-    (a reversed curve then keeps its length, see the module docstring);
-    solve one assignment LP per kept assignment.  The tie set holds every
-    solved assignment within ``VALUE_TIE_TOL`` of the minimum, sorted by
-    indices.  The filter keeps the smaller cycle of each reversed pair, so
-    the first tied assignment is the one the unfiltered search would give.
+    Enumerate the assignments on minimal supports; filter, solving only one
+    orientation of each facet cycle when the centered length body is
+    centrally symmetric (a reversed curve then keeps its length, see the
+    module docstring); solve one assignment LP per kept assignment.  The tie
+    set holds every solved assignment within ``VALUE_TIE_TOL`` of the
+    minimum, sorted by indices.  The filter keeps the smaller cycle of each
+    reversed pair, so the first tied assignment is the one the enumeration
+    without the filter would give.  A search over every facet set with the
+    hull property has the same minimum but may tie on a set that strictly
+    contains a minimal support and sorts first; that assignment is not
+    enumerated, so ``tied[0]`` can differ from it.
     """
     length_body, shift = _centered_length_body(geometry)
     assignments = enumerate_assignments(table)

@@ -12,7 +12,9 @@ raise, and every bit of an answer, follow from it.  So the simplex loop
 may be made faster only by doing the same floating-point operations on the
 same operands in the same order; the tests run it against a reference copy
 of an earlier version on recorded tableaux and require the same pivots and
-the same tableau bytes.
+the same tableau bytes.  The same holds for the conversion to standard form
+and for the KKT validator, which the tests compare with reference copies
+on random programs with every kind of bound.
 
 Problems are stated as
 
@@ -118,18 +120,22 @@ def make_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None) -> Linea
 
 
 class _StandardForm:
-    """min c.z s.t. A z = b, z >= 0, plus the bookkeeping to map z back to x."""
+    """min c.z s.t. A z = b, z >= 0, plus the bookkeeping to map z back to x.
+
+    A variable with a lower bound lo becomes z = x - lo on one column, one
+    with only an upper bound hi becomes z = hi - x on one column, and a free
+    variable splits as x = z+ - z- over two adjacent columns.
+    """
 
     def __init__(self, lp: LinearProgram):
-        n = lp.num_vars
-        # Per-variable encoding: ('shift', lo, col), ('neg', hi, col),
-        # ('split', None, col) using columns col (and col+1 for split).
-        self.var_map: list[tuple[str, float | None, int]] = []
+        free, lower, upper = [], [], []  # (variable, column[, bound])
+        self.offsets = []  # (variable, bound) of bounded variables, in order
         col = 0
         extra_rows = []  # (col, cap) for two-sided bounds: z_col <= cap
         for k, (lo, hi) in enumerate(lp.bounds):
             if lo is not None:
-                self.var_map.append(("shift", float(lo), col))
+                lower.append((k, col, float(lo)))
+                self.offsets.append((k, float(lo)))
                 if hi is not None:
                     cap = float(hi) - float(lo)
                     if cap < 0:
@@ -137,54 +143,59 @@ class _StandardForm:
                     extra_rows.append((col, cap))
                 col += 1
             elif hi is not None:
-                self.var_map.append(("neg", float(hi), col))
+                upper.append((k, col, float(hi)))
+                self.offsets.append((k, float(hi)))
                 col += 1
             else:
-                self.var_map.append(("split", None, col))
+                free.append((k, col))
                 col += 2
         self.nz = col
+        self.num_vars = lp.num_vars
+        # Per kind of variable, or None if there is none: (variables,
+        # columns, second columns) for free ones, (variables, columns,
+        # bounds) for those with a lower bound and those with only an upper.
+        self.free = self.lower = self.upper = None
+        if free:
+            v, c = zip(*free)
+            self.free = (_index(v), _index(c), _index([j + 1 for j in c]))
+        if lower:
+            v, c, b = zip(*lower)
+            self.lower = (_index(v), _index(c), np.array(b))
+        if upper:
+            v, c, b = zip(*upper)
+            self.upper = (_index(v), _index(c), np.array(b))
         self.n_user_ub = lp.a_ub.shape[0]
         self.n_extra = len(extra_rows)
         self.n_eq = lp.a_eq.shape[0]
 
-        def _encode_rows(a_rows):
-            out = np.zeros((a_rows.shape[0], self.nz))
-            shift = np.zeros(a_rows.shape[0])
-            for k, (kind, val, c0) in enumerate(self.var_map):
-                coeff = a_rows[:, k]
-                if kind == "shift":
-                    out[:, c0] = coeff
-                    shift += coeff * val
-                elif kind == "neg":
-                    out[:, c0] = -coeff
-                    shift += coeff * val
-                else:
-                    out[:, c0] = coeff
-                    out[:, c0 + 1] = -coeff
+        def _encode(a_rows):
+            """The columns of a_rows over z, and the bound offsets they
+            move to the right-hand side, added variable by variable."""
+            out = np.zeros(a_rows.shape[:-1] + (self.nz,))
+            if self.free:
+                v, c, c2 = self.free
+                out[..., c] = a_rows[..., v]
+                out[..., c2] = -a_rows[..., v]
+            if self.lower:
+                v, c, _ = self.lower
+                out[..., c] = a_rows[..., v]
+            if self.upper:
+                v, c, _ = self.upper
+                out[..., c] = -a_rows[..., v]
+            shift = np.zeros(a_rows.shape[:-1])
+            for k, val in self.offsets:
+                if val:  # a zero offset adds an exact zero
+                    shift += a_rows[..., k] * val
             return out, shift
 
-        a_ub_z, s_ub = _encode_rows(lp.a_ub)
-        a_eq_z, s_eq = _encode_rows(lp.a_eq)
+        a_ub_z, s_ub = _encode(lp.a_ub)
+        a_eq_z, s_eq = _encode(lp.a_eq)
+        self.c_z, _ = _encode(lp.c)
         rows_extra = np.zeros((self.n_extra, self.nz))
         rhs_extra = np.zeros(self.n_extra)
         for r, (c0, cap) in enumerate(extra_rows):
             rows_extra[r, c0] = 1.0
             rhs_extra[r] = cap
-
-        # Objective over z.
-        self.c_z = np.zeros(self.nz)
-        self.obj_shift = 0.0
-        for k, (kind, val, c0) in enumerate(self.var_map):
-            ck = lp.c[k]
-            if kind == "shift":
-                self.c_z[c0] = ck
-                self.obj_shift += ck * val
-            elif kind == "neg":
-                self.c_z[c0] = -ck
-                self.obj_shift += ck * val
-            else:
-                self.c_z[c0] = ck
-                self.c_z[c0 + 1] = -ck
 
         # Stack: user ub rows, bound rows, eq rows; slacks for all ub-kind rows.
         n_ub_all = self.n_user_ub + self.n_extra
@@ -214,15 +225,28 @@ class _StandardForm:
         self.row_kept = np.ones(m, dtype=bool)
 
     def x_from_z(self, z: np.ndarray) -> np.ndarray:
-        x = np.zeros(len(self.var_map))
-        for k, (kind, val, c0) in enumerate(self.var_map):
-            if kind == "shift":
-                x[k] = val + z[c0]
-            elif kind == "neg":
-                x[k] = val - z[c0]
-            else:
-                x[k] = z[c0] - z[c0 + 1]
+        x = np.zeros(self.num_vars)
+        if self.free:
+            v, c, c2 = self.free
+            x[v] = z[c] - z[c2]
+        if self.lower:
+            v, c, b = self.lower
+            x[v] = b + z[c]
+        if self.upper:
+            v, c, b = self.upper
+            x[v] = b - z[c]
         return x
+
+
+def _index(values) -> slice | np.ndarray:
+    """Increasing indices as a slice when they are evenly spaced, which
+    NumPy reads and writes several times faster than an index array of this
+    size, else as an index array."""
+    step = values[1] - values[0] if len(values) > 1 else 1
+    evenly = range(values[0], values[-1] + 1, step)
+    if tuple(values) == tuple(evenly):
+        return slice(evenly.start, evenly.stop, step)
+    return np.array(values)
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
@@ -393,7 +417,7 @@ def _finish(lp: LinearProgram, sf: _StandardForm, z, y, basis, iters) -> LpSolut
     nu = -y_signed[sf.n_ub_all :]
     _validate(lp, x, mu, nu)
     slack = lp.b_ub - lp.a_ub @ x if lp.a_ub.shape[0] else np.zeros(0)
-    scale = 1.0 + (float(np.max(np.abs(lp.b_ub))) if lp.b_ub.size else 0.0)
+    scale = 1.0 + (float(abs(lp.b_ub).max()) if lp.b_ub.size else 0.0)
     active = tuple(int(i) for i in np.flatnonzero(slack <= FEASIBILITY_TOL * scale))
     return LpSolution(status="optimal", x=x, objective=float(lp.c @ x),
                       ineq_duals=mu, eq_duals=nu, active_ub=active,
@@ -402,24 +426,26 @@ def _finish(lp: LinearProgram, sf: _StandardForm, z, y, basis, iters) -> LpSolut
 
 def _validate(lp: LinearProgram, x, mu, nu) -> None:
     """KKT checks in user coordinates; raise LpNumericalError if uncertified."""
+    bounded = [(k, lo, hi) for k, (lo, hi) in enumerate(lp.bounds)
+               if lo is not None or hi is not None]
     scale_b = 1.0 + max(
-        float(np.max(np.abs(lp.b_ub))) if lp.b_ub.size else 0.0,
-        float(np.max(np.abs(lp.b_eq))) if lp.b_eq.size else 0.0,
+        float(abs(lp.b_ub).max()) if lp.b_ub.size else 0.0,
+        float(abs(lp.b_eq).max()) if lp.b_eq.size else 0.0,
     )
     slack_ub = lp.b_ub - lp.a_ub @ x if lp.a_ub.shape[0] else np.zeros(0)
     res_eq = lp.a_eq @ x - lp.b_eq if lp.a_eq.shape[0] else np.zeros(0)
     problems = []
-    if slack_ub.size and float(np.min(slack_ub)) < -FEASIBILITY_TOL * scale_b:
-        problems.append(f"primal ub residual {-float(np.min(slack_ub)):.2e}")
-    if res_eq.size and float(np.max(np.abs(res_eq))) > FEASIBILITY_TOL * scale_b:
-        problems.append(f"primal eq residual {float(np.max(np.abs(res_eq))):.2e}")
-    for k, (lo, hi) in enumerate(lp.bounds):
+    if slack_ub.size and float(slack_ub.min()) < -FEASIBILITY_TOL * scale_b:
+        problems.append(f"primal ub residual {-float(slack_ub.min()):.2e}")
+    if res_eq.size and float(abs(res_eq).max()) > FEASIBILITY_TOL * scale_b:
+        problems.append(f"primal eq residual {float(abs(res_eq).max()):.2e}")
+    for k, lo, hi in bounded:
         if lo is not None and x[k] < lo - FEASIBILITY_TOL * (1 + abs(lo)):
             problems.append(f"lower bound violated on variable {k}")
         if hi is not None and x[k] > hi + FEASIBILITY_TOL * (1 + abs(hi)):
             problems.append(f"upper bound violated on variable {k}")
-    if mu.size and float(np.min(mu)) < -COMPLEMENTARITY_TOL:
-        problems.append(f"negative inequality dual {float(np.min(mu)):.2e}")
+    if mu.size and float(mu.min()) < -COMPLEMENTARITY_TOL:
+        problems.append(f"negative inequality dual {float(mu.min()):.2e}")
     # Stationarity g = c + a_ub.T mu + a_eq.T nu must vanish on free variables
     # and act as a valid bound multiplier otherwise.
     g = lp.c.copy()
@@ -427,31 +453,30 @@ def _validate(lp: LinearProgram, x, mu, nu) -> None:
         g += lp.a_ub.T @ mu
     if nu.size:
         g += lp.a_eq.T @ nu
-    scale_c = 1.0 + float(np.max(np.abs(lp.c))) if lp.c.size else 1.0
-    for k, (lo, hi) in enumerate(lp.bounds):
+    scale_c = 1.0 + float(abs(lp.c).max()) if lp.c.size else 1.0
+    tol_c = COMPLEMENTARITY_TOL * scale_c
+    ok = abs(g) <= tol_c  # the test for a variable at neither bound
+    for k, lo, hi in bounded:
         at_lo = lo is not None and x[k] <= lo + BOUND_ACTIVE_TOL * (1 + abs(lo))
         at_hi = hi is not None and x[k] >= hi - BOUND_ACTIVE_TOL * (1 + abs(hi))
-        gk = g[k]
         if at_lo and at_hi:
-            continue
-        if at_lo:
-            ok = gk >= -COMPLEMENTARITY_TOL * scale_c
+            ok[k] = True
+        elif at_lo:
+            ok[k] = g[k] >= -tol_c
         elif at_hi:
-            ok = gk <= COMPLEMENTARITY_TOL * scale_c
-        else:
-            ok = abs(gk) <= COMPLEMENTARITY_TOL * scale_c
-        if not ok:
-            problems.append(f"stationarity residual {gk:.2e} on variable {k}")
+            ok[k] = g[k] <= tol_c
+    for k in (~ok).nonzero()[0]:
+        problems.append(f"stationarity residual {g[k]:.2e} on variable {k}")
     if mu.size:
-        cs = float(np.max(np.abs(mu * slack_ub)))
-        if cs > COMPLEMENTARITY_TOL * scale_b * (1 + float(np.max(mu))):
+        cs = float(abs(mu * slack_ub).max())
+        if cs > COMPLEMENTARITY_TOL * scale_b * (1 + float(mu.max())):
             problems.append(f"complementary slackness residual {cs:.2e}")
     # Duality gap: primal objective vs. Lagrangian dual value.
     primal = float(lp.c @ x)
     dual = -(float(lp.b_ub @ mu) if mu.size else 0.0) - (
         float(lp.b_eq @ nu) if nu.size else 0.0
     )
-    for k, (lo, hi) in enumerate(lp.bounds):
+    for k, lo, hi in bounded:
         gk = g[k]
         if lo is not None and gk > 0:
             dual += gk * lo

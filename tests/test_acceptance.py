@@ -305,3 +305,21 @@ def test_criterion_13_symmetric_body_and_polar(criterion):
             assert abs(result.value - 4.0) <= LITERATURE_REL_TOL * 4.0
             worst = max(worst, abs(result.value - 4.0))
         c.detail = f"10 polygons, worst |c - 4| {worst:.1e}"
+
+
+def test_criterion_14_tesseract_and_cross_polytope(criterion):
+    with criterion(14, "c(K x K polar) = 4 within 1e-9 for the tesseract "
+                       "and the 16-cell, in both roles") as c:
+        corners = [[a, b, d, e] for a in (-1, 1) for b in (-1, 1)
+                   for d in (-1, 1) for e in (-1, 1)]
+        tesseract = ConvexPolytope.from_vertices(corners)
+        cell16 = ConvexPolytope.from_vertices(np.vstack([np.eye(4),
+                                                         -np.eye(4)]))
+        values = []
+        for table, geometry in ((tesseract, cell16), (cell16, tesseract)):
+            result = ehz_capacity(table, geometry)
+            assert result.quantities.consistent
+            assert result.realized
+            assert abs(result.value - 4.0) <= LITERATURE_REL_TOL * 4.0
+            values.append(result.value)
+        c.detail = "values " + ", ".join(f"{v:.12f}" for v in values)

@@ -234,3 +234,168 @@ def test_kernel_is_bit_identical_to_reference(recorded_tableaux, stall_limit,
         assert _outcome(lp._run_simplex, new_tab, new_basis) == expected
         assert np.array_equal(new_basis, ref_basis)
         assert new_tab.tobytes() == ref_tab.tobytes()
+
+
+# The standard-form conversion and the KKT validator as they were before
+# their per-variable loops became index assignments.  The rewrite must
+# build the same tableau data, map back the same x and raise the same
+# messages.
+
+def _reference_standard_form(lp_):
+    var_map = []
+    col = 0
+    extra_rows = []
+    for lo, hi in lp_.bounds:
+        if lo is not None:
+            var_map.append(("shift", float(lo), col))
+            if hi is not None:
+                extra_rows.append((col, float(hi) - float(lo)))
+            col += 1
+        elif hi is not None:
+            var_map.append(("neg", float(hi), col))
+            col += 1
+        else:
+            var_map.append(("split", None, col))
+            col += 2
+
+    def encode(a_rows):
+        out = np.zeros((a_rows.shape[0], col))
+        shift = np.zeros(a_rows.shape[0])
+        for k, (kind, val, c0) in enumerate(var_map):
+            coeff = a_rows[:, k]
+            if kind == "shift":
+                out[:, c0] = coeff
+                shift += coeff * val
+            elif kind == "neg":
+                out[:, c0] = -coeff
+                shift += coeff * val
+            else:
+                out[:, c0] = coeff
+                out[:, c0 + 1] = -coeff
+        return out, shift
+
+    a_ub_z, s_ub = encode(lp_.a_ub)
+    a_eq_z, s_eq = encode(lp_.a_eq)
+    c_z = encode(lp_.c[None, :])[0][0]
+    rows_extra = np.zeros((len(extra_rows), col))
+    for r, (c0, _) in enumerate(extra_rows):
+        rows_extra[r, c0] = 1.0
+    rhs = np.concatenate([lp_.b_ub - s_ub, [cap for _, cap in extra_rows],
+                          lp_.b_eq - s_eq])
+
+    def x_from_z(z):
+        x = np.zeros(len(var_map))
+        for k, (kind, val, c0) in enumerate(var_map):
+            if kind == "shift":
+                x[k] = val + z[c0]
+            elif kind == "neg":
+                x[k] = val - z[c0]
+            else:
+                x[k] = z[c0] - z[c0 + 1]
+        return x
+
+    return np.vstack([a_ub_z, rows_extra, a_eq_z]), rhs, c_z, x_from_z
+
+
+def _reference_validate(lp_, x, mu, nu):
+    scale_b = 1.0 + max(
+        float(np.max(np.abs(lp_.b_ub))) if lp_.b_ub.size else 0.0,
+        float(np.max(np.abs(lp_.b_eq))) if lp_.b_eq.size else 0.0)
+    slack_ub = lp_.b_ub - lp_.a_ub @ x if lp_.a_ub.shape[0] else np.zeros(0)
+    res_eq = lp_.a_eq @ x - lp_.b_eq if lp_.a_eq.shape[0] else np.zeros(0)
+    tol = lp.FEASIBILITY_TOL
+    ctol = lp.COMPLEMENTARITY_TOL
+    problems = []
+    if slack_ub.size and float(np.min(slack_ub)) < -tol * scale_b:
+        problems.append(f"primal ub residual {-float(np.min(slack_ub)):.2e}")
+    if res_eq.size and float(np.max(np.abs(res_eq))) > tol * scale_b:
+        problems.append(f"primal eq residual {float(np.max(np.abs(res_eq))):.2e}")
+    for k, (lo, hi) in enumerate(lp_.bounds):
+        if lo is not None and x[k] < lo - tol * (1 + abs(lo)):
+            problems.append(f"lower bound violated on variable {k}")
+        if hi is not None and x[k] > hi + tol * (1 + abs(hi)):
+            problems.append(f"upper bound violated on variable {k}")
+    if mu.size and float(np.min(mu)) < -ctol:
+        problems.append(f"negative inequality dual {float(np.min(mu)):.2e}")
+    g = lp_.c.copy()
+    if mu.size:
+        g += lp_.a_ub.T @ mu
+    if nu.size:
+        g += lp_.a_eq.T @ nu
+    scale_c = 1.0 + float(np.max(np.abs(lp_.c))) if lp_.c.size else 1.0
+    for k, (lo, hi) in enumerate(lp_.bounds):
+        at_lo = lo is not None and x[k] <= lo + lp.BOUND_ACTIVE_TOL * (1 + abs(lo))
+        at_hi = hi is not None and x[k] >= hi - lp.BOUND_ACTIVE_TOL * (1 + abs(hi))
+        gk = g[k]
+        if at_lo and at_hi:
+            continue
+        if at_lo:
+            ok = gk >= -ctol * scale_c
+        elif at_hi:
+            ok = gk <= ctol * scale_c
+        else:
+            ok = abs(gk) <= ctol * scale_c
+        if not ok:
+            problems.append(f"stationarity residual {gk:.2e} on variable {k}")
+    if mu.size:
+        cs = float(np.max(np.abs(mu * slack_ub)))
+        if cs > ctol * scale_b * (1 + float(np.max(mu))):
+            problems.append(f"complementary slackness residual {cs:.2e}")
+    primal = float(lp_.c @ x)
+    dual = -(float(lp_.b_ub @ mu) if mu.size else 0.0) - (
+        float(lp_.b_eq @ nu) if nu.size else 0.0)
+    for k, (lo, hi) in enumerate(lp_.bounds):
+        gk = g[k]
+        if lo is not None and gk > 0:
+            dual += gk * lo
+        elif hi is not None and gk < 0:
+            dual += gk * hi
+    if abs(primal - dual) > lp.DUALITY_GAP_TOL * (1.0 + abs(primal)):
+        problems.append(f"duality gap {abs(primal - dual):.2e}")
+    return "; ".join(problems)
+
+
+def _random_bounds(rng, n):
+    kinds = [(None, None), (0.0, None), (None, 0.0), (0.0, 1.5)]
+    bounds = []
+    for _ in range(n):
+        lo, hi = kinds[int(rng.integers(0, 4))]
+        if rng.random() < 0.5:  # nonzero offsets move the right-hand side
+            lo = None if lo is None else lo - rng.random()
+            hi = None if hi is None else hi + rng.random()
+        bounds.append((lo, hi))
+    return bounds
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_standard_form_and_validate_match_reference(seed):
+    rng = np.random.default_rng(500 + seed)
+    n = int(rng.integers(1, 7))
+    m_ub, m_eq = int(rng.integers(0, 6)), int(rng.integers(0, 3))
+    lp_ = make_lp(rng.normal(size=n),
+                  a_ub=rng.normal(size=(m_ub, n)) if m_ub else None,
+                  b_ub=rng.normal(size=m_ub) if m_ub else None,
+                  a_eq=rng.normal(size=(m_eq, n)) if m_eq else None,
+                  b_eq=rng.normal(size=m_eq) if m_eq else None,
+                  bounds=_random_bounds(rng, n))
+    sf = lp._StandardForm(lp_)
+    amat, rhs, c_z, x_from_z = _reference_standard_form(lp_)
+    flip = np.where(rhs < 0, -1.0, 1.0)
+    assert (sf.amat[:, :sf.nz] * flip[:, None]).tobytes() == amat.tobytes()
+    assert (sf.bvec * flip).tobytes() == rhs.tobytes()
+    assert sf.c_z.tobytes() == c_z.tobytes()
+    z = rng.uniform(0.0, 2.0, size=sf.ncols)
+    x = sf.x_from_z(z)
+    assert x.tobytes() == x_from_z(z).tobytes()
+    # Random multipliers miss most KKT conditions, so the messages differ
+    # from one seed to the next; the bound checks see x near its bounds.
+    x = np.where(rng.random(n) < 0.5, x, x_from_z(np.zeros(sf.ncols)))
+    mu = rng.normal(size=m_ub) * (rng.random(m_ub) < 0.5)
+    nu = rng.normal(size=m_eq)
+    expected = _reference_validate(lp_, x, mu, nu)
+    try:
+        lp._validate(lp_, x, mu, nu)
+        message = ""
+    except LpNumericalError as exc:
+        message = str(exc)
+    assert message == expected
