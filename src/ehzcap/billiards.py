@@ -168,7 +168,7 @@ def extract_dual(table: ConvexPolytope, geometry: ConvexPolytope,
     a_eq = np.vstack([np.atleast_2d(r) for r in rows_eq])
     b_eq = np.concatenate([np.atleast_1d(r) for r in rhs_eq])
 
-    bounds = [(None, None)] * (m * n) + [(0.0, None)] * total_eta
+    nonneg = [False] * (m * n) + [True] * total_eta
     pinned_rows: list[np.ndarray] = []
     pinned_vals: list[float] = []
     x = None
@@ -179,7 +179,7 @@ def extract_dual(table: ConvexPolytope, geometry: ConvexPolytope,
         rhs = b_eq if not pinned_vals else np.concatenate(
             [b_eq, np.array(pinned_vals)])
         sol = solve_lp(make_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=eq, b_eq=rhs,
-                               bounds=bounds))
+                               nonneg=nonneg))
         if sol.status == "infeasible":
             if coord == 0:
                 raise NotABilliardError(
@@ -296,9 +296,9 @@ def _first_order_solution(table, geometry, vertex, incoming, outgoing, tol):
     a_eq[2:, :n] = np.eye(n)
     a_eq[2:, n:2 * n] = -np.eye(n)
     a_eq[2:, 2 * n:] = -gen.T
-    bounds = [(None, None)] * (2 * n) + [(0.0, None)] * k
     sol = solve_lp(make_lp(np.zeros(nvars), a_ub=a_ub, b_ub=b_ub,
-                           a_eq=a_eq, b_eq=b_eq, bounds=bounds))
+                           a_eq=a_eq, b_eq=b_eq,
+                           nonneg=[False] * (2 * n) + [True] * k))
     if sol.status != "optimal":
         return None
     return gen.T @ sol.x[2 * n:]

@@ -95,11 +95,14 @@ class FacetAssignment:
 def _margin_dual_vertices(table: ConvexPolytope) -> np.ndarray:
     """Vertices of the weight polytope {l >= 0, sum l_i a_i = 0, sum l_i = 1}.
 
-    Rows are sorted and deduplicated.  The enumeration reads its facet hull
-    test off their supports; the brute-force oracle uses them as the dual
-    of the translation-margin LP, whose best margin for any point set is
-    the minimum over these weight vectors of the weighted slack, which
-    makes the pinned test for millions of tuples a single matrix product.
+    Rows are sorted, one per support (the entries above ``GEOM_TOL``): a
+    vertex found from several bases can come out a few ulps apart, and the
+    first of its copies in sorted order is kept.  The enumeration reads its
+    facet hull test off the supports; the brute-force oracle uses them as
+    the dual of the translation-margin LP, whose best margin for any point
+    set is the minimum over these weight vectors of the weighted slack,
+    which makes the pinned test for millions of tuples a single matrix
+    product.
 
     A vertex is the basic solution of n+1 facets whose columns of
     [A^T; 1^T] are independent.  That matrix has rank n+1 for a bounded
@@ -126,13 +129,9 @@ def _margin_dual_vertices(table: ConvexPolytope) -> np.ndarray:
     bases, x = bases[feasible], x[feasible]
     rows = np.zeros((len(bases), f))
     rows[np.arange(len(bases))[:, None], bases] = np.clip(x, 0.0, None)
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    keep = [rows[0]]
-    for r in rows[1:]:
-        if np.max(np.abs(r - keep[-1])) > GEOM_TOL:
-            keep.append(r)
-    return np.array(keep)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    _, first = np.unique(rows > GEOM_TOL, axis=0, return_index=True)
+    return rows[np.sort(first)]
 
 
 def enumerate_assignments(table: ConvexPolytope) -> tuple[FacetAssignment, ...]:
@@ -160,15 +159,12 @@ def enumerate_assignments(table: ConvexPolytope) -> tuple[FacetAssignment, ...]:
     symmetric.  Order: by size, then by facet set, then by permutation of
     the remaining indices.
     """
-    # The vertex rows can hold one vertex twice, a few ulps apart, when
-    # another row sorts between the copies; the first copy is kept.
-    by_support = {}
-    for vertex in _margin_dual_vertices(table):
-        support = tuple(int(i) for i in np.flatnonzero(vertex > GEOM_TOL))
-        by_support.setdefault(support, vertex)
+    vertices = _margin_dual_vertices(table)
+    supports = [tuple(int(i) for i in np.flatnonzero(v > GEOM_TOL))
+                for v in vertices]
     out = []
-    for support in sorted(by_support, key=lambda s: (len(s), s)):
-        vertex = by_support[support]
+    for support, vertex in sorted(zip(supports, vertices),
+                                  key=lambda sv: (len(sv[0]), sv[0])):
         for perm in permutations(support[1:]):
             order = (support[0],) + perm
             w = vertex[list(order)]
@@ -664,14 +660,12 @@ class IdentityReport:
         return self.max_relative_deviation <= QUANTITY_AGREEMENT_TOL
 
 
-def capacity_identities(table: ConvexPolytope, geometry: ConvexPolytope,
-                        full: bool = False) -> IdentityReport:
+def capacity_identities(table: ConvexPolytope,
+                        geometry: ConvexPolytope) -> IdentityReport:
     """Capacity of (K,T), (T,K), (-K,T), (K,-T) and (-K,-T).
 
-    The five numbers agree for valid inputs.  By default each variant runs
-    only the primary enumeration (the values are what the identity is
-    about); ``full`` also performs the swapped solves and billiard
-    realizations per variant.
+    The five numbers agree for valid inputs.  Each variant runs only the
+    primary enumeration: the values are what the identity is about.
     """
     neg_table, neg_geometry = negate(table), negate(geometry)
     variants = {
@@ -681,10 +675,6 @@ def capacity_identities(table: ConvexPolytope, geometry: ConvexPolytope,
         "negated_geometry": (table, neg_geometry),
         "negated_both": (neg_table, neg_geometry),
     }
-    values = {}
-    for name, (k, t) in variants.items():
-        if full:
-            values[name] = ehz_capacity(k, t).value
-        else:
-            values[name] = _solve_side(k, t).value
+    values = {name: _solve_side(k, t).value
+              for name, (k, t) in variants.items()}
     return IdentityReport(values=values)

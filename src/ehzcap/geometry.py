@@ -39,7 +39,7 @@ class ConvexPolytope:
     immutable; the backing arrays are read-only views.
     """
 
-    def __init__(self, normals, offsets, vertices, validate: bool = True):
+    def __init__(self, normals, offsets, vertices):
         normals = np.array(normals, dtype=float)
         offsets = np.array(offsets, dtype=float)
         vertices = np.array(vertices, dtype=float)
@@ -52,8 +52,7 @@ class ConvexPolytope:
         self._normals = normals
         self._offsets = offsets
         self._vertices = vertices
-        if validate:
-            self._validate()
+        self._validate()
         for arr in (self._normals, self._offsets, self._vertices):
             arr.flags.writeable = False
 
@@ -399,8 +398,7 @@ class Cone:
         # minimize sum(e+ + e-) s.t. g.T lam + e+ - e- = v, lam, e >= 0
         c = np.concatenate([np.zeros(k), np.ones(2 * n)])
         a_eq = np.hstack([g.T, np.eye(n), -np.eye(n)])
-        lp = make_lp(c, a_eq=a_eq, b_eq=v,
-                     bounds=[(0.0, None)] * (k + 2 * n))
+        lp = make_lp(c, a_eq=a_eq, b_eq=v, nonneg=[True] * (k + 2 * n))
         sol = solve_lp(lp)
         if sol.status != "optimal":
             raise LpNumericalError(

@@ -14,16 +14,16 @@ same operands in the same order; the tests run it against a reference copy
 of an earlier version on recorded tableaux and require the same pivots and
 the same tableau bytes.  The same holds for the conversion to standard form
 and for the KKT validator, which the tests compare with reference copies
-on random programs with every kind of bound.
+on random programs with free and nonnegative variables.
 
 Problems are stated as
 
     minimize c.x  subject to  a_ub @ x <= b_ub,  a_eq @ x == b_eq,
 
-with optional per-variable bounds (default: free).  Solutions report
+with each variable free or nonnegative (default: free).  Solutions report
 multipliers in the convention
 
-    c + a_ub.T @ ineq_duals + a_eq.T @ eq_duals == 0  on unbounded variables,
+    c + a_ub.T @ ineq_duals + a_eq.T @ eq_duals == 0  on free variables,
 
 with ineq_duals >= 0 and complementary slackness against the slacks.
 Infeasible and unbounded problems report only their status and pivot
@@ -46,11 +46,9 @@ RATIO_TIE_TOL = 1e-9  # min-ratio tie width, relative to 1 + |min ratio|
 STALL_TOL = 1e-12  # objective change, relative, that ends a degenerate stall
 INFEASIBILITY_TOL = 1e-8  # phase-1 optimum, relative to 1 + max rhs
 DRIVE_OUT_TOL = 1e-9  # pivot entry, relative to its row, to drive an artificial out
-BOUND_ACTIVE_TOL = 1e-7  # distance, relative, at which _validate calls a bound active
+BOUND_ACTIVE_TOL = 1e-7  # x at or below this is at its bound 0 for _validate
 STALL_LIMIT = 100
 MAX_PIVOTS = 50_000
-
-_FREE = (None, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +60,7 @@ class LinearProgram:
     b_ub: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
-    bounds: tuple[tuple[float | None, float | None], ...]
+    nonneg: np.ndarray  # bool per variable: x >= 0 if set, else free
 
     @property
     def num_vars(self) -> int:
@@ -90,8 +88,9 @@ class LpSolution:
     iterations: int = 0
 
 
-def make_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None) -> LinearProgram:
-    """Assemble a LinearProgram, normalizing shapes and defaulting to free variables."""
+def make_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=None) -> LinearProgram:
+    """Assemble a LinearProgram, normalizing shapes and defaulting to free
+    variables; ``nonneg`` flags the variables constrained to x >= 0."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
     n = c.shape[0]
 
@@ -107,44 +106,34 @@ def make_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None) -> Linea
 
     a_ub, b_ub = _block(a_ub, b_ub)
     a_eq, b_eq = _block(a_eq, b_eq)
-    if bounds is None:
-        bounds = tuple(_FREE for _ in range(n))
+    if nonneg is None:
+        nonneg = np.zeros(n, dtype=bool)
     else:
-        bounds = tuple((lo, hi) for lo, hi in bounds)
-        if len(bounds) != n:
-            raise ValueError(f"{len(bounds)} bounds given for {n} variables")
+        nonneg = np.array(nonneg, dtype=bool, ndmin=1)
+        if nonneg.shape != (n,):
+            raise ValueError(f"nonneg mask of shape {nonneg.shape} given for "
+                             f"{n} variables")
     for arr in (c, a_ub, b_ub, a_eq, b_eq):
         if not np.all(np.isfinite(arr)):
             raise ValueError("non-finite entries in LP data")
-    return LinearProgram(c, a_ub, b_ub, a_eq, b_eq, bounds)
+    nonneg.flags.writeable = False
+    return LinearProgram(c, a_ub, b_ub, a_eq, b_eq, nonneg)
 
 
 class _StandardForm:
     """min c.z s.t. A z = b, z >= 0, plus the bookkeeping to map z back to x.
 
-    A variable with a lower bound lo becomes z = x - lo on one column, one
-    with only an upper bound hi becomes z = hi - x on one column, and a free
-    variable splits as x = z+ - z- over two adjacent columns.
+    A nonnegative variable is one column, z = x; a free variable splits as
+    x = z+ - z- over two adjacent columns.  Rows are the inequality rows,
+    each with its slack column, then the equality rows.
     """
 
     def __init__(self, lp: LinearProgram):
-        free, lower, upper = [], [], []  # (variable, column[, bound])
-        self.offsets = []  # (variable, bound) of bounded variables, in order
+        free, nonneg = [], []  # (variable, column)
         col = 0
-        extra_rows = []  # (col, cap) for two-sided bounds: z_col <= cap
-        for k, (lo, hi) in enumerate(lp.bounds):
-            if lo is not None:
-                lower.append((k, col, float(lo)))
-                self.offsets.append((k, float(lo)))
-                if hi is not None:
-                    cap = float(hi) - float(lo)
-                    if cap < 0:
-                        raise ValueError(f"variable {k} has empty bound interval")
-                    extra_rows.append((col, cap))
-                col += 1
-            elif hi is not None:
-                upper.append((k, col, float(hi)))
-                self.offsets.append((k, float(hi)))
+        for k, pos in enumerate(lp.nonneg.tolist()):
+            if pos:
+                nonneg.append((k, col))
                 col += 1
             else:
                 free.append((k, col))
@@ -152,64 +141,37 @@ class _StandardForm:
         self.nz = col
         self.num_vars = lp.num_vars
         # Per kind of variable, or None if there is none: (variables,
-        # columns, second columns) for free ones, (variables, columns,
-        # bounds) for those with a lower bound and those with only an upper.
-        self.free = self.lower = self.upper = None
+        # columns, second columns) for free ones, (variables, columns) for
+        # nonnegative ones.
+        self.free = self.nonneg = None
         if free:
             v, c = zip(*free)
             self.free = (_index(v), _index(c), _index([j + 1 for j in c]))
-        if lower:
-            v, c, b = zip(*lower)
-            self.lower = (_index(v), _index(c), np.array(b))
-        if upper:
-            v, c, b = zip(*upper)
-            self.upper = (_index(v), _index(c), np.array(b))
-        self.n_user_ub = lp.a_ub.shape[0]
-        self.n_extra = len(extra_rows)
-        self.n_eq = lp.a_eq.shape[0]
+        if nonneg:
+            v, c = zip(*nonneg)
+            self.nonneg = (_index(v), _index(c))
+        self.n_ub = n_ub = lp.a_ub.shape[0]
 
         def _encode(a_rows):
-            """The columns of a_rows over z, and the bound offsets they
-            move to the right-hand side, added variable by variable."""
+            """The columns of a_rows over z."""
             out = np.zeros(a_rows.shape[:-1] + (self.nz,))
             if self.free:
                 v, c, c2 = self.free
                 out[..., c] = a_rows[..., v]
                 out[..., c2] = -a_rows[..., v]
-            if self.lower:
-                v, c, _ = self.lower
+            if self.nonneg:
+                v, c = self.nonneg
                 out[..., c] = a_rows[..., v]
-            if self.upper:
-                v, c, _ = self.upper
-                out[..., c] = -a_rows[..., v]
-            shift = np.zeros(a_rows.shape[:-1])
-            for k, val in self.offsets:
-                if val:  # a zero offset adds an exact zero
-                    shift += a_rows[..., k] * val
-            return out, shift
+            return out
 
-        a_ub_z, s_ub = _encode(lp.a_ub)
-        a_eq_z, s_eq = _encode(lp.a_eq)
-        self.c_z, _ = _encode(lp.c)
-        rows_extra = np.zeros((self.n_extra, self.nz))
-        rhs_extra = np.zeros(self.n_extra)
-        for r, (c0, cap) in enumerate(extra_rows):
-            rows_extra[r, c0] = 1.0
-            rhs_extra[r] = cap
-
-        # Stack: user ub rows, bound rows, eq rows; slacks for all ub-kind rows.
-        n_ub_all = self.n_user_ub + self.n_extra
-        a_top = np.vstack([a_ub_z, rows_extra]) if n_ub_all else np.zeros((0, self.nz))
-        b_top = np.concatenate([lp.b_ub - s_ub, rhs_extra])
-        a_bot = a_eq_z
-        b_bot = lp.b_eq - s_eq
-        m = n_ub_all + self.n_eq
-        self.ncols = self.nz + n_ub_all
+        self.c_z = _encode(lp.c)
+        m = n_ub + lp.a_eq.shape[0]
+        self.ncols = self.nz + n_ub
         amat = np.zeros((m, self.ncols))
-        amat[:n_ub_all, : self.nz] = a_top
-        amat[:n_ub_all, self.nz :] = np.eye(n_ub_all)
-        amat[n_ub_all:, : self.nz] = a_bot
-        bvec = np.concatenate([b_top, b_bot])
+        amat[:n_ub, : self.nz] = _encode(lp.a_ub)
+        amat[:n_ub, self.nz :] = np.eye(n_ub)
+        amat[n_ub:, : self.nz] = _encode(lp.a_eq)
+        bvec = np.concatenate([lp.b_ub, lp.b_eq])
 
         # Normalize rhs >= 0, remembering flips for dual signs.
         self.row_sign = np.ones(m)
@@ -220,8 +182,7 @@ class _StandardForm:
 
         self.amat = amat
         self.bvec = bvec
-        self.n_ub_all = n_ub_all
-        self.cost = np.concatenate([self.c_z, np.zeros(n_ub_all)])
+        self.cost = np.concatenate([self.c_z, np.zeros(n_ub)])
         self.row_kept = np.ones(m, dtype=bool)
 
     def x_from_z(self, z: np.ndarray) -> np.ndarray:
@@ -229,12 +190,9 @@ class _StandardForm:
         if self.free:
             v, c, c2 = self.free
             x[v] = z[c] - z[c2]
-        if self.lower:
-            v, c, b = self.lower
-            x[v] = b + z[c]
-        if self.upper:
-            v, c, b = self.upper
-            x[v] = b - z[c]
+        if self.nonneg:
+            v, c = self.nonneg
+            x[v] = 0.0 + z[c]  # the bound 0 plus z, which turns -0.0 into 0.0
         return x
 
 
@@ -335,7 +293,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     # Initial basis: slack where possible (unflipped ub rows), else artificial.
     has_slack = np.zeros(m, dtype=bool)
-    has_slack[: sf.n_ub_all] = sf.row_sign[: sf.n_ub_all] > 0
+    has_slack[: sf.n_ub] = sf.row_sign[: sf.n_ub] > 0
     need_art = np.flatnonzero(~has_slack)
     n_art = need_art.size
     basis = sf.nz + np.arange(m)
@@ -413,8 +371,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 def _finish(lp: LinearProgram, sf: _StandardForm, z, y, basis, iters) -> LpSolution:
     x = sf.x_from_z(z)
     y_signed = y * sf.row_sign
-    mu = -y_signed[: sf.n_user_ub]
-    nu = -y_signed[sf.n_ub_all :]
+    mu = -y_signed[: sf.n_ub]
+    nu = -y_signed[sf.n_ub :]
     _validate(lp, x, mu, nu)
     slack = lp.b_ub - lp.a_ub @ x if lp.a_ub.shape[0] else np.zeros(0)
     scale = 1.0 + (float(abs(lp.b_ub).max()) if lp.b_ub.size else 0.0)
@@ -426,8 +384,6 @@ def _finish(lp: LinearProgram, sf: _StandardForm, z, y, basis, iters) -> LpSolut
 
 def _validate(lp: LinearProgram, x, mu, nu) -> None:
     """KKT checks in user coordinates; raise LpNumericalError if uncertified."""
-    bounded = [(k, lo, hi) for k, (lo, hi) in enumerate(lp.bounds)
-               if lo is not None or hi is not None]
     scale_b = 1.0 + max(
         float(abs(lp.b_ub).max()) if lp.b_ub.size else 0.0,
         float(abs(lp.b_eq).max()) if lp.b_eq.size else 0.0,
@@ -439,15 +395,12 @@ def _validate(lp: LinearProgram, x, mu, nu) -> None:
         problems.append(f"primal ub residual {-float(slack_ub.min()):.2e}")
     if res_eq.size and float(abs(res_eq).max()) > FEASIBILITY_TOL * scale_b:
         problems.append(f"primal eq residual {float(abs(res_eq).max()):.2e}")
-    for k, lo, hi in bounded:
-        if lo is not None and x[k] < lo - FEASIBILITY_TOL * (1 + abs(lo)):
-            problems.append(f"lower bound violated on variable {k}")
-        if hi is not None and x[k] > hi + FEASIBILITY_TOL * (1 + abs(hi)):
-            problems.append(f"upper bound violated on variable {k}")
+    for k in (lp.nonneg & (x < -FEASIBILITY_TOL)).nonzero()[0]:
+        problems.append(f"lower bound violated on variable {k}")
     if mu.size and float(mu.min()) < -COMPLEMENTARITY_TOL:
         problems.append(f"negative inequality dual {float(mu.min()):.2e}")
     # Stationarity g = c + a_ub.T mu + a_eq.T nu must vanish on free variables
-    # and act as a valid bound multiplier otherwise.
+    # and on nonnegative ones off their bound, and be >= 0 on those at it.
     g = lp.c.copy()
     if mu.size:
         g += lp.a_ub.T @ mu
@@ -455,33 +408,20 @@ def _validate(lp: LinearProgram, x, mu, nu) -> None:
         g += lp.a_eq.T @ nu
     scale_c = 1.0 + float(abs(lp.c).max()) if lp.c.size else 1.0
     tol_c = COMPLEMENTARITY_TOL * scale_c
-    ok = abs(g) <= tol_c  # the test for a variable at neither bound
-    for k, lo, hi in bounded:
-        at_lo = lo is not None and x[k] <= lo + BOUND_ACTIVE_TOL * (1 + abs(lo))
-        at_hi = hi is not None and x[k] >= hi - BOUND_ACTIVE_TOL * (1 + abs(hi))
-        if at_lo and at_hi:
-            ok[k] = True
-        elif at_lo:
-            ok[k] = g[k] >= -tol_c
-        elif at_hi:
-            ok[k] = g[k] <= tol_c
+    at_bound = lp.nonneg & (x <= BOUND_ACTIVE_TOL)
+    ok = np.where(at_bound, g >= -tol_c, abs(g) <= tol_c)
     for k in (~ok).nonzero()[0]:
         problems.append(f"stationarity residual {g[k]:.2e} on variable {k}")
     if mu.size:
         cs = float(abs(mu * slack_ub).max())
         if cs > COMPLEMENTARITY_TOL * scale_b * (1 + float(mu.max())):
             problems.append(f"complementary slackness residual {cs:.2e}")
-    # Duality gap: primal objective vs. Lagrangian dual value.
+    # Duality gap: primal objective vs. Lagrangian dual value, to which the
+    # bound multipliers add g_k * 0.
     primal = float(lp.c @ x)
     dual = -(float(lp.b_ub @ mu) if mu.size else 0.0) - (
         float(lp.b_eq @ nu) if nu.size else 0.0
     )
-    for k, lo, hi in bounded:
-        gk = g[k]
-        if lo is not None and gk > 0:
-            dual += gk * lo
-        elif hi is not None and gk < 0:
-            dual += gk * hi
     if abs(primal - dual) > DUALITY_GAP_TOL * (1.0 + abs(primal)):
         problems.append(f"duality gap {abs(primal - dual):.2e}")
     if problems:

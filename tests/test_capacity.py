@@ -629,6 +629,15 @@ class TestBruteForceOracle:
         assert abs(closed_form - lp_margin) <= 1e-8 * (1 + abs(lp_margin))
 
 
+    def test_margin_dual_vertices_one_per_support(self):
+        # The octahedron's vertex with support (3, 4) comes out of two bases
+        # a few ulps apart, with another vertex sorting between the copies.
+        duals = _margin_dual_vertices(octahedron())
+        supports = {tuple(np.flatnonzero(row > GEOM_TOL)) for row in duals}
+        assert len(duals) == 6
+        assert len(supports) == 6
+
+
 class TestIdentityReport:
     def test_square_pair_all_four(self):
         report = capacity_identities(square(), square())
@@ -660,13 +669,6 @@ class TestIdentityReport:
         report = capacity_identities(triangle(), square())
         assert len(calls) == 2
         assert report.consistent
-
-    def test_full_mode_matches_light_mode(self):
-        light = capacity_identities(triangle(), square())
-        full = capacity_identities(triangle(), square(), full=True)
-        for name in light.values:
-            assert light.values[name] == pytest.approx(full.values[name],
-                                                       abs=1e-9)
 
 
 class TestNegatedBodies:

@@ -14,7 +14,7 @@ from ehzcap.lp import make_lp, solve_lp
 
 def test_bounded_single_variable_with_dual():
     # minimize -x s.t. x <= 1, x >= 0  ->  x = 1, objective -1, dual 1 binding.
-    lp = make_lp([-1.0], a_ub=[[1.0]], b_ub=[1.0], bounds=[(0.0, None)])
+    lp = make_lp([-1.0], a_ub=[[1.0]], b_ub=[1.0], nonneg=[True])
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.x[0] == pytest.approx(1.0, abs=1e-12)
@@ -38,7 +38,7 @@ def test_unbounded():
 def test_degenerate_tie_break_is_blands():
     # minimize 0 s.t. x1 + x2 = 1, x >= 0: Bland returns the basic solution (1, 0).
     lp = make_lp([0.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[1.0],
-                 bounds=[(0.0, None), (0.0, None)])
+                 nonneg=[True, True])
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-12)
@@ -49,7 +49,10 @@ def test_bitwise_determinism():
     c = rng.normal(size=6)
     a_ub = rng.normal(size=(9, 6))
     b_ub = a_ub @ rng.normal(size=6) + rng.uniform(0.1, 1.0, size=9)
-    lp = make_lp(c, a_ub=a_ub, b_ub=b_ub, bounds=[(-20.0, 20.0)] * 6)
+    # The box -20 <= x <= 20 keeps the program bounded.
+    box = np.vstack([np.eye(6), -np.eye(6)])
+    lp = make_lp(c, a_ub=np.vstack([a_ub, box]),
+                 b_ub=np.concatenate([b_ub, np.full(12, 20.0)]))
     s1, s2 = solve_lp(lp), solve_lp(lp)
     assert s1.status == "optimal"
     assert s1.x.tobytes() == s2.x.tobytes()
@@ -59,9 +62,9 @@ def test_bitwise_determinism():
 
 
 def test_equalities_and_two_sided_bounds():
-    # minimize x + 2y s.t. x + y = 1, 0 <= x <= 0.4, y free.
-    lp = make_lp([1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0],
-                 bounds=[(0.0, 0.4), (None, None)])
+    # minimize x + 2y s.t. x + y = 1, x <= 0.4, x >= 0, y free.
+    lp = make_lp([1.0, 2.0], a_ub=[[1.0, 0.0]], b_ub=[0.4],
+                 a_eq=[[1.0, 1.0]], b_eq=[1.0], nonneg=[True, False])
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.x, [0.4, 0.6], atol=1e-10)
@@ -123,6 +126,8 @@ def test_shape_validation():
         make_lp([1.0, 2.0], a_ub=[[1.0]], b_ub=[1.0])
     with pytest.raises(ValueError):
         make_lp([np.nan])
+    with pytest.raises(ValueError):
+        make_lp([1.0, 2.0], nonneg=[True])
 
 
 def test_drive_out_pivots_are_counted():
@@ -130,7 +135,7 @@ def test_drive_out_pivots_are_counted():
     # and prices once more; it stops with the second artificial basic at
     # level zero, and one pivot on y drives it out.  Phase 2 prices once.
     sol = solve_lp(make_lp([1.0, 0.0], a_eq=[[1.0, 1.0], [1.0, -1.0]],
-                           b_eq=[0.0, 0.0], bounds=[(0.0, None)] * 2))
+                           b_eq=[0.0, 0.0], nonneg=[True] * 2))
     assert sol.status == "optimal"
     assert sol.iterations == 2 + 1 + 1
 
@@ -237,15 +242,21 @@ def test_kernel_is_bit_identical_to_reference(recorded_tableaux, stall_limit,
 
 
 # The standard-form conversion and the KKT validator as they were before
-# their per-variable loops became index assignments.  The rewrite must
+# their per-variable loops became index assignments and the bounds a
+# nonnegativity mask, read with a (lo, hi) pair per variable: (0.0, None)
+# for a nonnegative one, (None, None) for a free one.  The rewrite must
 # build the same tableau data, map back the same x and raise the same
 # messages.
+
+def _bounds(lp_):
+    return [(0.0, None) if pos else (None, None) for pos in lp_.nonneg]
+
 
 def _reference_standard_form(lp_):
     var_map = []
     col = 0
     extra_rows = []
-    for lo, hi in lp_.bounds:
+    for lo, hi in _bounds(lp_):
         if lo is not None:
             var_map.append(("shift", float(lo), col))
             if hi is not None:
@@ -310,7 +321,7 @@ def _reference_validate(lp_, x, mu, nu):
         problems.append(f"primal ub residual {-float(np.min(slack_ub)):.2e}")
     if res_eq.size and float(np.max(np.abs(res_eq))) > tol * scale_b:
         problems.append(f"primal eq residual {float(np.max(np.abs(res_eq))):.2e}")
-    for k, (lo, hi) in enumerate(lp_.bounds):
+    for k, (lo, hi) in enumerate(_bounds(lp_)):
         if lo is not None and x[k] < lo - tol * (1 + abs(lo)):
             problems.append(f"lower bound violated on variable {k}")
         if hi is not None and x[k] > hi + tol * (1 + abs(hi)):
@@ -323,7 +334,7 @@ def _reference_validate(lp_, x, mu, nu):
     if nu.size:
         g += lp_.a_eq.T @ nu
     scale_c = 1.0 + float(np.max(np.abs(lp_.c))) if lp_.c.size else 1.0
-    for k, (lo, hi) in enumerate(lp_.bounds):
+    for k, (lo, hi) in enumerate(_bounds(lp_)):
         at_lo = lo is not None and x[k] <= lo + lp.BOUND_ACTIVE_TOL * (1 + abs(lo))
         at_hi = hi is not None and x[k] >= hi - lp.BOUND_ACTIVE_TOL * (1 + abs(hi))
         gk = g[k]
@@ -344,7 +355,7 @@ def _reference_validate(lp_, x, mu, nu):
     primal = float(lp_.c @ x)
     dual = -(float(lp_.b_ub @ mu) if mu.size else 0.0) - (
         float(lp_.b_eq @ nu) if nu.size else 0.0)
-    for k, (lo, hi) in enumerate(lp_.bounds):
+    for k, (lo, hi) in enumerate(_bounds(lp_)):
         gk = g[k]
         if lo is not None and gk > 0:
             dual += gk * lo
@@ -353,18 +364,6 @@ def _reference_validate(lp_, x, mu, nu):
     if abs(primal - dual) > lp.DUALITY_GAP_TOL * (1.0 + abs(primal)):
         problems.append(f"duality gap {abs(primal - dual):.2e}")
     return "; ".join(problems)
-
-
-def _random_bounds(rng, n):
-    kinds = [(None, None), (0.0, None), (None, 0.0), (0.0, 1.5)]
-    bounds = []
-    for _ in range(n):
-        lo, hi = kinds[int(rng.integers(0, 4))]
-        if rng.random() < 0.5:  # nonzero offsets move the right-hand side
-            lo = None if lo is None else lo - rng.random()
-            hi = None if hi is None else hi + rng.random()
-        bounds.append((lo, hi))
-    return bounds
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -377,7 +376,7 @@ def test_standard_form_and_validate_match_reference(seed):
                   b_ub=rng.normal(size=m_ub) if m_ub else None,
                   a_eq=rng.normal(size=(m_eq, n)) if m_eq else None,
                   b_eq=rng.normal(size=m_eq) if m_eq else None,
-                  bounds=_random_bounds(rng, n))
+                  nonneg=rng.random(n) < 0.5)
     sf = lp._StandardForm(lp_)
     amat, rhs, c_z, x_from_z = _reference_standard_form(lp_)
     flip = np.where(rhs < 0, -1.0, 1.0)
@@ -388,8 +387,10 @@ def test_standard_form_and_validate_match_reference(seed):
     x = sf.x_from_z(z)
     assert x.tobytes() == x_from_z(z).tobytes()
     # Random multipliers miss most KKT conditions, so the messages differ
-    # from one seed to the next; the bound checks see x near its bounds.
-    x = np.where(rng.random(n) < 0.5, x, x_from_z(np.zeros(sf.ncols)))
+    # from one seed to the next; the bound checks see x above, at and
+    # below its bound 0.
+    pick = rng.integers(0, 3, size=n)
+    x = np.select([pick == 0, pick == 1], [x, x_from_z(np.zeros(sf.ncols))], -x)
     mu = rng.normal(size=m_ub) * (rng.random(m_ub) < 0.5)
     nu = rng.normal(size=m_eq)
     expected = _reference_validate(lp_, x, mu, nu)
