@@ -4,9 +4,10 @@ A trajectory pair consists of a closed curve q on the boundary of the table
 body K and a momentum sequence p on the boundary of the geometry body T.  The
 strong bounce laws couple them: each segment direction of q must be an
 outward normal of T at the matching momentum, and each momentum kick must be
-an inward normal of K at the bounce point.  The weak law asks less: each
-bounce point only needs a supporting hyperplane of K over which it minimizes
-the two adjacent segment lengths measured by T.
+an inward normal of K at the bounce point; both are support-function
+equalities, which ``verify_strong`` checks without an LP.  The weak law asks
+less: each bounce point only needs a supporting hyperplane of K over which it
+minimizes the two adjacent segment lengths measured by T.
 
 ``verify_strong`` reports per-bounce findings instead of raising on a bad
 pair, because callers routinely probe candidate pairs.  ``verify_weak``
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LpNumericalError, NotABilliardError, PointOffBoundaryError
-from .geometry import ConvexPolytope, normal_cone, support_function
+from .geometry import ConvexPolytope, support_function
 from .curves import ClosedPolygonalCurve
 from .lp import make_lp, solve_lp
 
@@ -69,10 +70,12 @@ def verify_strong(table: ConvexPolytope, geometry: ConvexPolytope,
                   q: ClosedPolygonalCurve, p, tol: float = CONE_TOL) -> BilliardPair:
     """Check the strong bounce laws for a candidate pair (q, p).
 
-    For every index j the segment q_{j+1} - q_j must lie in the outward
-    normal cone of the geometry body at p_j, and the kick p_{j+1} - p_j in
-    the negated normal cone of the table at q_{j+1}.  Cone membership is
-    decided by LP with residual tolerance ``tol * (1 + |vector|)``.
+    For every index j the segment d_j = q_{j+1} - q_j must be an outward
+    normal of the geometry body at p_j, and the kick k_j = p_j - p_{j+1} one
+    of the table at q_{j+1}.  At a point x of a body that is the
+    support-function equality <v, x> = h(v), so each law is decided by its
+    gap h(v) - <v, x>, reported as its residual, against the bound
+    ``tol * (1 + |v|) * (1 + R)``, R the body's largest vertex norm.
     """
     p = np.atleast_2d(np.asarray(p, dtype=float))
     if p.shape != q.points.shape:
@@ -80,37 +83,44 @@ def verify_strong(table: ConvexPolytope, geometry: ConvexPolytope,
             f"momentum sequence shape {p.shape} does not match curve shape "
             f"{q.points.shape}")
     m = q.num_points
-    deltas = q.deltas
+    q_next = np.roll(q.points, -1, axis=0)
+    q_where = [table.locate(x, tol) for x in q_next]
+    p_where = [geometry.locate(x, tol) for x in p]
+    seg_gap, seg_ok = _support_gaps(geometry, q.deltas, p, tol)
+    kick_gap, kick_ok = _support_gaps(table, p - np.roll(p, -1, axis=0),
+                                      q_next, tol)
     records = []
     for j in range(m):
-        qj_next = q.points[(j + 1) % m]
-        q_where = table.locate(qj_next, tol)
-        p_where = geometry.locate(p[j], tol)
-        note = ""
-        if q_where == "outside" or p_where == "outside" or \
-                geometry.locate(p[(j + 1) % m], tol) == "outside":
+        if "outside" in (q_where[j], p_where[j], p_where[(j + 1) % m]):
             records.append(BounceRecord(
                 index=j, q_on_boundary=False, p_on_boundary=False,
                 segment_in_momentum_cone=False, kick_in_position_cone=False,
                 segment_residual=float("inf"), kick_residual=float("inf"),
                 note="point-off-boundary: a point lies outside its body"))
             continue
-        seg = normal_cone(geometry, p[j], tol).membership(deltas[j], tol)
-        kick = normal_cone(table, qj_next, tol).membership(
-            -(p[(j + 1) % m] - p[j]), tol)
-        if q_where != "boundary" or p_where != "boundary":
-            note = "point-off-boundary: interior point has only the zero cone"
+        q_on, p_on = q_where[j] == "boundary", p_where[j] == "boundary"
         records.append(BounceRecord(
             index=j,
-            q_on_boundary=q_where == "boundary",
-            p_on_boundary=p_where == "boundary",
-            segment_in_momentum_cone=seg.inside,
-            kick_in_position_cone=kick.inside,
-            segment_residual=seg.residual,
-            kick_residual=kick.residual,
-            note=note))
+            q_on_boundary=q_on,
+            p_on_boundary=p_on,
+            segment_in_momentum_cone=bool(seg_ok[j]),
+            kick_in_position_cone=bool(kick_ok[j]),
+            segment_residual=float(seg_gap[j]),
+            kick_residual=float(kick_gap[j]),
+            note="" if q_on and p_on else
+            "point-off-boundary: interior point has only the zero cone"))
     return BilliardPair(table=table, geometry=geometry, q=q, p=p,
                         records=tuple(records))
+
+
+def _support_gaps(body: ConvexPolytope, vectors: np.ndarray,
+                  points: np.ndarray, tol: float):
+    """Support gaps h(v_j) - <v_j, x_j> and whether each is within bound."""
+    gaps = ((vectors @ body.vertices.T).max(axis=1)
+            - np.einsum("ij,ij->i", vectors, points))
+    radius = float(np.linalg.norm(body.vertices, axis=1).max())
+    bound = tol * (1.0 + np.linalg.norm(vectors, axis=1)) * (1.0 + radius)
+    return gaps, gaps <= bound
 
 
 def extract_dual(table: ConvexPolytope, geometry: ConvexPolytope,

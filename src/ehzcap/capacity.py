@@ -24,11 +24,11 @@ smaller cycle is solved, which is also the one the tie-break reports.
 
 The result is cross-checked four ways: the same enumeration runs with the
 two bodies swapped, and on both sides a strong billiard trajectory of the
-optimal length is reconstructed and verified.  The bounce laws are the KKT
-conditions of the assignment program, so the trajectory's momenta are that
-program's own multipliers and realization solves no further LP.  A
-brute-force grid oracle provides an independent upper-bound search for
-tests.
+optimal length is reconstructed and verified once, against the user's
+bodies.  The bounce laws are the KKT conditions of the assignment program,
+so the trajectory's momenta are that program's own multipliers and
+realization solves no further LP.  A brute-force grid oracle provides an
+independent upper-bound search for tests.
 """
 
 from __future__ import annotations
@@ -434,18 +434,19 @@ def _merge_degenerate_pairs(points: np.ndarray, momenta: np.ndarray):
     return np.array(pts), np.array(mom)
 
 
-def _realize_billiard(table: ConvexPolytope, length_body: ConvexPolytope,
-                      tied: tuple[AssignmentSolution, ...]):
-    """Find a verified strong trajectory at the optimal value.
+def _realize_billiard(table: ConvexPolytope, geometry: ConvexPolytope,
+                      side: _SideSolve):
+    """Find a strong trajectory at the side's optimal value, verified once.
 
     Per value-tied assignment, pairs the optimal touching curve with the
     momenta from the assignment program's own multipliers, merges away
-    degenerate points, and keeps the first pair that ``verify_strong``
-    accepts.  Returns (curve, momenta, note); curve is None with a
-    diagnostic note when no tied assignment verifies.
+    degenerate points and shifts the momenta by ``side.length_shift``; the
+    first pair ``verify_strong`` accepts against the user's bodies is kept.
+    Returns (curve, momenta, length, note); all but the note are None when
+    no tie verifies or the verified length is not ``side.value``.
     """
     notes = []
-    for solution in tied:
+    for solution in side.tied:
         label = str(solution.assignment.indices)
         merged = _merge_degenerate_pairs(solution.points, solution.momenta)
         if merged is None:
@@ -458,20 +459,29 @@ def _realize_billiard(table: ConvexPolytope, length_body: ConvexPolytope,
         except CurveCollapseError as exc:
             notes.append(f"{label}: minimizer collapsed ({exc})")
             continue
-        if verify_strong(table, length_body, curve, momenta).verified:
-            return curve, momenta, ""
+        momenta = momenta + side.length_shift
+        if verify_strong(table, geometry, curve, momenta).verified:
+            break
         notes.append(f"{label}: multiplier momenta failed verification")
-    return None, None, "; ".join(notes)
+    else:
+        return None, None, None, "; ".join(notes)
+    length = minkowski_length(side.length_body, curve)
+    if abs(length - side.value) > LENGTH_AGREEMENT_TOL * (1.0 + side.value):
+        return None, None, None, (f"realized trajectory has length {length!r} "
+                                  f"instead of {side.value!r}")
+    return curve, momenta, length, ""
 
 
 def ehz_capacity(table: ConvexPolytope, geometry: ConvexPolytope) -> CapacityResult:
     """Capacity of the product of the two bodies, with full cross-checks.
 
     Runs the facet-assignment enumeration on the table, the same enumeration
-    with the roles swapped, and realizes verified strong billiard
-    trajectories on both sides.  The four resulting numbers are reported in
-    ``quantities``; they agree within 1e-6 relative on valid inputs, and the
-    returned value is the primary enumeration minimum.
+    with the roles swapped, and realizes a strong billiard trajectory on
+    each side, verified once against the user's bodies.  The four resulting
+    numbers are reported in ``quantities``; they agree within 1e-6 relative
+    on valid inputs, and the returned value is the primary enumeration
+    minimum.  A failed minimizer check names the primary side's winning
+    assignment.
     """
     if table.dim != geometry.dim:
         raise DimensionMismatchError("bodies live in different dimensions")
@@ -479,47 +489,23 @@ def ehz_capacity(table: ConvexPolytope, geometry: ConvexPolytope) -> CapacityRes
     swapped = _solve_side(geometry, table)
 
     winner = primary.tied[0]
+    label = f"assignment {winner.assignment.indices}"
     q_star = canonicalize(winner.points).canonical_rotation()
     certificate = translation_margin(table, q_star)
     if not certificate.pinned:
-        raise LpNumericalError("minimizing curve is not pinned; assignment "
-                               "certificates are inconsistent")
+        raise LpNumericalError(f"{label}: minimizing curve is not pinned; "
+                               "assignment certificates are inconsistent")
     check = minkowski_length(primary.length_body, q_star)
     if (abs(check - primary.value)
             > LENGTH_AGREEMENT_TOL * (1.0 + abs(primary.value))):
-        raise LpNumericalError("canonical minimizer changed length; curve "
-                               "cleanup lost a segment")
+        raise LpNumericalError(f"{label}: canonical minimizer changed "
+                               "length; curve cleanup lost a segment")
 
-    bill_q, bill_p, note = _realize_billiard(table, primary.length_body,
-                                             primary.tied)
-    billiard_length = None
-    dual_curve = None
-    if bill_q is not None:
-        billiard_length = minkowski_length(primary.length_body, bill_q)
-        if (abs(billiard_length - primary.value)
-                > LENGTH_AGREEMENT_TOL * (1.0 + primary.value)):
-            note = (f"realized trajectory has length {billiard_length!r} "
-                    f"instead of {primary.value!r}")
-            bill_q, billiard_length = None, None
-        else:
-            dual_curve = bill_p + primary.length_shift
-            against_user_body = verify_strong(table, geometry, bill_q,
-                                              dual_curve)
-            if not against_user_body.verified:
-                raise LpNumericalError(
-                    "trajectory verified against the centered geometry body "
-                    "but not the original; translation broke a cone check")
-
-    swap_q, _, swap_note = _realize_billiard(geometry, swapped.length_body,
-                                             swapped.tied)
-    swapped_length = None
-    if swap_q is not None:
-        swapped_length = minkowski_length(swapped.length_body, swap_q)
-        if (abs(swapped_length - swapped.value)
-                > LENGTH_AGREEMENT_TOL * (1.0 + swapped.value)):
-            swapped_length = None
-            swap_note = "swapped realization length mismatch"
-    if swapped_length is None and swap_note:
+    bill_q, dual_curve, billiard_length, note = _realize_billiard(
+        table, geometry, primary)
+    swap_q, _, swapped_length, swap_note = _realize_billiard(
+        geometry, table, swapped)
+    if swap_q is None:
         note = (note + "; " if note else "") + f"swapped side: {swap_note}"
 
     quantities = CrossCheckQuantities(

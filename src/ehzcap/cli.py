@@ -205,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="check the two-sided strong bounce laws")
     mode.add_argument("--weak", action="store_true",
                       help="check the one-sided vertex condition")
-    ver.add_argument("--tol", type=float, help="cone membership tolerance")
+    ver.add_argument("--tol", type=float,
+                     help="point-location tolerance; a strong law also holds when its support gap is at most tol (1 + |v|)(1 + R)")
     _add_out(ver)
     ver.set_defaults(handler=_cmd_verify)
 

@@ -1,7 +1,14 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ehzcap.billiards import extract_dual, verify_strong, verify_weak
+import ehzcap.billiards
+import ehzcap.geometry
+from ehzcap.billiards import CONE_TOL, extract_dual, verify_strong, verify_weak
+from ehzcap.bodies import random_polygon
+from ehzcap.capacity import ehz_capacity
 from ehzcap.curves import (
     ClosedPolygonalCurve,
     canonicalize,
@@ -9,8 +16,17 @@ from ehzcap.curves import (
     minkowski_length,
     translation_margin,
 )
-from ehzcap.errors import NotABilliardError, PointOffBoundaryError
-from ehzcap.geometry import ConvexPolytope, negate, support_function
+from ehzcap.errors import (
+    CurveCollapseError,
+    NotABilliardError,
+    PointOffBoundaryError,
+)
+from ehzcap.geometry import (
+    ConvexPolytope,
+    negate,
+    normal_cone,
+    support_function,
+)
 
 
 def square():
@@ -23,6 +39,33 @@ def cross():
 
 def width_curve():
     return ClosedPolygonalCurve(np.array([[-1.0, 0.0], [1.0, 0.0]]))
+
+
+def candidate_points(body):
+    """Vertices, and points a half and a quarter of the way along every
+    vertex pair: edge points and interior points of the body."""
+    v = body.vertices
+    pairs = list(combinations(range(len(v)), 2))
+    halves = [(v[i] + v[j]) / 2 for i, j in pairs]
+    quarters = [(v[i] + 3 * v[j]) / 4 for i, j in pairs]
+    return np.vstack([v, halves, quarters])
+
+
+@st.composite
+def candidate_bounces(draw):
+    """Random polygons with a curve through candidate points of the table
+    and momenta at candidate points of the geometry body."""
+    table = random_polygon(draw(st.integers(3, 7)), draw(st.integers(0, 9999)))
+    geometry = random_polygon(draw(st.integers(3, 7)),
+                              draw(st.integers(0, 9999)))
+    q_points = candidate_points(table)
+    p_points = candidate_points(geometry)
+    m = draw(st.integers(2, 4))
+    qi = draw(st.lists(st.integers(0, len(q_points) - 1), min_size=m,
+                       max_size=m, unique=True))
+    pi = draw(st.lists(st.integers(0, len(p_points) - 1), min_size=m,
+                       max_size=m))
+    return table, geometry, q_points[qi], p_points[pi]
 
 
 def raw_length(body, points):
@@ -67,6 +110,37 @@ class TestVerifyStrong:
                              [[2, 0], [-1, 0]])
         assert not pair.verified
         assert "outside" in pair.records[0].note
+
+    @given(candidate_bounces())
+    @settings(max_examples=60, deadline=None)
+    def test_support_gaps_match_the_cone_lp(self, bounce):
+        table, geometry, q_points, p = bounce
+        try:
+            q = ClosedPolygonalCurve(q_points)
+        except CurveCollapseError:
+            return
+        pair = verify_strong(table, geometry, q, p)
+        m = q.num_points
+        for j, record in enumerate(pair.records):
+            q_next = q.points[(j + 1) % m]
+            segment = normal_cone(geometry, p[j], CONE_TOL).membership(
+                q.deltas[j], CONE_TOL)
+            kick = normal_cone(table, q_next, CONE_TOL).membership(
+                -(p[(j + 1) % m] - p[j]), CONE_TOL)
+            assert record.segment_in_momentum_cone == segment.inside
+            assert record.kick_in_position_cone == kick.inside
+
+    def test_solves_no_lp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("bounce-law verification solved an LP")
+
+        monkeypatch.setattr(ehzcap.geometry, "solve_lp", refuse)
+        monkeypatch.setattr(ehzcap.billiards, "solve_lp", refuse)
+        assert verify_strong(square(), square(), width_curve(),
+                             [[1, 0], [-1, 0]]).verified
+        assert not verify_strong(square(), square(), width_curve(),
+                                 [[-1, 0], [1, 0]]).verified
+        assert ehz_capacity(square(), cross()).realized
 
 
 class TestExtractDual:

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 from itertools import combinations, permutations
 
 import numpy as np
@@ -20,6 +22,7 @@ from ehzcap.capacity import (
     _margin_dual_vertices,
     _merge_degenerate_pairs,
     _one_orientation,
+    _realize_billiard,
     _solve_side,
 )
 from ehzcap.curves import (
@@ -462,6 +465,68 @@ class TestMergeDegeneratePairs:
         points = np.array([[0.0, 0], [0.5, 0], [1, 0], [0, 1]])
         momenta = np.arange(8.0).reshape(4, 2)
         assert _merge_degenerate_pairs(points, momenta) is None
+
+
+def _swap_momenta(solution):
+    return dataclasses.replace(solution, momenta=solution.momenta[::-1])
+
+
+class TestRealizeBilliard:
+    """The tie loop, on square x cross: it ties (0, 3) and (1, 2), two
+    width chords whose momenta are the two vertices of the cross on
+    their line."""
+
+    def side(self):
+        side = _solve_side(square(), cross())
+        assert [s.assignment.indices for s in side.tied] == [(0, 3), (1, 2)]
+        return side
+
+    def test_falls_through_to_the_second_tie(self):
+        side = self.side()
+        first, second = side.tied
+        side = dataclasses.replace(side, tied=(_swap_momenta(first), second))
+        curve, momenta, length, note = _realize_billiard(square(), cross(),
+                                                         side)
+        np.testing.assert_array_equal(curve.points, second.points)
+        np.testing.assert_array_equal(momenta, second.momenta)
+        assert length == side.value
+        assert note == ""
+
+    def test_every_tie_failing_names_each_assignment(self):
+        side = self.side()
+        side = dataclasses.replace(
+            side, tied=tuple(_swap_momenta(s) for s in side.tied))
+        assert _realize_billiard(square(), cross(), side) == (
+            None, None, None,
+            "(0, 3): multiplier momenta failed verification; "
+            "(1, 2): multiplier momenta failed verification")
+
+    def test_verified_curve_of_the_wrong_length(self):
+        side = dataclasses.replace(self.side(), value=5.0)
+        assert _realize_billiard(square(), cross(), side) == (
+            None, None, None,
+            "realized trajectory has length 4.0 instead of 5.0")
+
+
+class TestStageNamedErrors:
+    """The minimizer checks of ``ehz_capacity`` name the winning assignment
+    of the primary side, (0, 3) for square x cross."""
+
+    def test_unpinned_minimizer(self, monkeypatch):
+        monkeypatch.setattr(
+            ehzcap.capacity, "translation_margin",
+            lambda body, curve: dataclasses.replace(
+                translation_margin(body, curve), pinned=False))
+        with pytest.raises(LpNumericalError, match=re.escape(
+                "assignment (0, 3): minimizing curve is not pinned")):
+            ehz_capacity(square(), cross())
+
+    def test_minimizer_that_changed_length(self, monkeypatch):
+        monkeypatch.setattr(ehzcap.capacity, "minkowski_length",
+                            lambda body, curve: 5.0)
+        with pytest.raises(LpNumericalError, match=re.escape(
+                "assignment (0, 3): canonical minimizer changed length")):
+            ehz_capacity(square(), cross())
 
 
 class TestCapacityFrozenValues:
