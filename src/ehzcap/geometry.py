@@ -2,9 +2,17 @@
 
 A :class:`ConvexPolytope` is bounded, full-dimensional, and keeps both a
 facet (H) and a vertex (V) representation in sync.  Facet normals are unit
-vectors; construction from either representation derives the other by
+vectors.  :meth:`ConvexPolytope.from_vertices` derives the facets by
 n-subset incidence enumeration, which is exact at the dimensions this
-package targets (2 <= n <= 4).  All predicates resolve at ``GEOM_TOL``.
+package targets (2 <= n <= 4); :meth:`ConvexPolytope.from_halfspaces`
+enumerates the intersection points of its facets and then takes the vertex
+route.  A body is validated once: given both representations, the margins,
+facet supports, vertex extremality and distinct vertices are checked, and
+the hull of the vertices must reproduce the facets.  Images of a validated
+body (:func:`affine_image`, :func:`translate`, :func:`negate`,
+:func:`polar`) map its arrays exactly or up to rounding, so they keep only
+the shape, finiteness, unit-normal and margin checks.  All predicates
+resolve at ``GEOM_TOL``.
 """
 
 from __future__ import annotations
@@ -26,6 +34,10 @@ from .lp import make_lp, solve_lp
 
 GEOM_TOL = 1e-9
 MEMBERSHIP_TOL = 1e-8
+_RANK_TOL = 1e-9  # rank, determinant and singular-value cut-off
+_SAME_POINT_TOL = 1e-8  # max-abs distance at which two rows are one point
+_ZERO_NORM_TOL = 1e-12  # a normal or vertex shorter than this is zero
+_UNBOUNDED_SLACK = 1e-7  # input halfspace slack that shows an unbounded set
 MIN_DIM = 2
 MAX_DIM = 4
 
@@ -35,26 +47,46 @@ class ConvexPolytope:
 
     Build instances through :meth:`from_vertices`, :meth:`from_halfspaces`
     or :meth:`from_representations`; the raw constructor expects both
-    representations and validates them against each other.  Instances are
+    representations and validates them against each other once.  Images of
+    a validated body are built without repeating that proof.  Instances are
     immutable; the backing arrays are read-only views.
     """
 
     def __init__(self, normals, offsets, vertices):
-        normals = np.array(normals, dtype=float)
-        offsets = np.array(offsets, dtype=float)
-        vertices = np.array(vertices, dtype=float)
-        if normals.ndim != 2 or vertices.ndim != 2 or offsets.ndim != 1:
-            raise InvalidBodyError("representation arrays have wrong rank")
-        if normals.shape[0] != offsets.shape[0]:
-            raise InvalidBodyError("normals and offsets disagree in count")
-        if normals.shape[1] != vertices.shape[1]:
-            raise InvalidBodyError("normals and vertices disagree in dimension")
-        self._normals = normals
-        self._offsets = offsets
-        self._vertices = vertices
+        self._adopt(normals, offsets, vertices)
         self._validate()
-        for arr in (self._normals, self._offsets, self._vertices):
+
+    @classmethod
+    def _image(cls, normals, offsets, vertices) -> "ConvexPolytope":
+        """A body from arrays that map a validated body exactly or up to
+        rounding; only the checks of :meth:`_adopt` run."""
+        body = cls.__new__(cls)
+        body._adopt(normals, offsets, vertices)
+        return body
+
+    def _adopt(self, normals, offsets, vertices) -> None:
+        """Take copies of the arrays, run the checks every body gets, and
+        freeze them."""
+        a, b, v = (np.array(x, dtype=float) for x in (normals, offsets, vertices))
+        if a.ndim != 2 or v.ndim != 2 or b.ndim != 1:
+            raise InvalidBodyError("representation arrays have wrong rank")
+        if a.shape[0] != b.shape[0]:
+            raise InvalidBodyError("normals and offsets disagree in count")
+        if a.shape[1] != v.shape[1]:
+            raise InvalidBodyError("normals and vertices disagree in dimension")
+        n = a.shape[1]
+        _check_dim(n)
+        if not all(np.all(np.isfinite(arr)) for arr in (a, b, v)):
+            raise InvalidBodyError("non-finite representation data")
+        if np.any(np.abs(np.linalg.norm(a, axis=1) - 1.0) > GEOM_TOL):
+            raise InvalidBodyError("facet normals are not unit vectors")
+        if v.shape[0] < n + 1:
+            raise InvalidBodyError("too few vertices for the ambient dimension")
+        if float(np.max(v @ a.T - b)) > GEOM_TOL:
+            raise InvalidBodyError("a vertex violates a facet inequality")
+        for arr in (a, b, v):
             arr.flags.writeable = False
+        self._normals, self._offsets, self._vertices = a, b, v
 
     # -- construction ----------------------------------------------------
 
@@ -66,11 +98,11 @@ class ConvexPolytope:
         if pts.shape[0] < n + 1:
             raise InvalidBodyError(
                 f"{pts.shape[0]} distinct points cannot span dimension {n}")
-        if np.linalg.matrix_rank(pts - pts[0], tol=1e-9) < n:
+        if np.linalg.matrix_rank(pts - pts[0], tol=_RANK_TOL) < n:
             raise InvalidBodyError("points do not span the ambient dimension")
         normals, offsets = _facets_from_points(pts)
-        extreme = _extreme_points(pts, normals, offsets)
-        return cls(normals, offsets, extreme)
+        active = np.array([normals @ p - offsets >= -GEOM_TOL for p in pts])
+        return cls(normals, offsets, pts[_extreme_mask(normals, active)])
 
     @classmethod
     def from_halfspaces(cls, normals, offsets) -> "ConvexPolytope":
@@ -82,21 +114,15 @@ class ConvexPolytope:
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise InvalidBodyError("non-finite halfspace data")
         norms = np.linalg.norm(a, axis=1)
-        if np.any(norms < 1e-12):
+        if np.any(norms < _ZERO_NORM_TOL):
             raise InvalidBodyError("zero facet normal")
         a = a / norms[:, None]
         b = b / norms
         a, b = _dedupe_facets(a, b)
-        verts = _vertices_from_facets(a, b)
-        if verts.shape[0] < a.shape[1] + 1:
-            raise InvalidBodyError("halfspaces do not bound a full-dimensional "
-                                   "polytope (too few vertices)")
-        # Re-derive facets from the vertex hull; this drops redundant input
-        # rows and rejects unbounded inputs (their hull cannot reproduce them).
-        normals, offsets = _facets_from_points(verts)
-        body = cls(normals, offsets, _extreme_points(verts, normals, offsets))
+        # The hull of the intersection points drops redundant input rows.
+        body = cls.from_vertices(_vertices_from_facets(a, b))
         support = body.vertices @ a.T
-        if np.any(np.max(support, axis=0) > b + 1e-7):
+        if np.any(np.max(support, axis=0) > b + _UNBOUNDED_SLACK):
             raise InvalidBodyError("halfspaces describe an unbounded set")
         return body
 
@@ -176,45 +202,34 @@ class ConvexPolytope:
     # -- validation ---------------------------------------------------------
 
     def _validate(self) -> None:
+        """The proof that both representations describe one polytope, on
+        top of :meth:`_adopt`'s checks."""
         a, b, v = self._normals, self._offsets, self._vertices
         n = self.dim
-        _check_dim(n)
-        for arr in (a, b, v):
-            if not np.all(np.isfinite(arr)):
-                raise InvalidBodyError("non-finite representation data")
-        if np.any(np.abs(np.linalg.norm(a, axis=1) - 1.0) > GEOM_TOL):
-            raise InvalidBodyError("facet normals are not unit vectors")
-        if v.shape[0] < n + 1:
-            raise InvalidBodyError("too few vertices for the ambient dimension")
-        if np.linalg.matrix_rank(v - v[0], tol=1e-9) < n:
+        if np.linalg.matrix_rank(v - v[0], tol=_RANK_TOL) < n:
             raise InvalidBodyError("vertex set is not full-dimensional")
-        margins = v @ a.T - b  # (V, F)
-        if float(np.max(margins)) > GEOM_TOL:
-            raise InvalidBodyError("a vertex violates a facet inequality")
-        active = margins >= -GEOM_TOL
+        active = v @ a.T - b >= -GEOM_TOL  # (V, F)
         # Facet support: each facet carries at least n vertices spanning it.
         for i in range(a.shape[0]):
             sup = v[active[:, i]]
             if sup.shape[0] < n:
                 raise InvalidBodyError(f"facet {i} is supported by fewer than "
                                        f"{n} vertices")
-            if np.linalg.matrix_rank(sup - sup[0], tol=1e-9) < n - 1:
+            if np.linalg.matrix_rank(sup - sup[0], tol=_RANK_TOL) < n - 1:
                 raise InvalidBodyError(f"facet {i} support is degenerate")
-        # Vertex extremality: active normals span the ambient space.
-        for j in range(v.shape[0]):
-            rows = a[active[j]]
-            if rows.shape[0] < n or np.linalg.matrix_rank(rows, tol=1e-9) < n:
-                raise InvalidBodyError(f"vertex {j} is not an extreme point")
-        # Cross-reproduction: the hull of the vertices yields these facets and
-        # the facets yield these vertices.  This pins both representations to
-        # the same bounded polytope.
+        extreme = _extreme_mask(a, active)
+        if not extreme.all():
+            raise InvalidBodyError(
+                f"vertex {int(np.argmin(extreme))} is not an extreme point")
+        # Cross-reproduction: the hull of the vertices yields these facets.
+        # With the margins and extremality above, this pins both
+        # representations to the same bounded polytope.
         a2, b2 = _facets_from_points(v)
         if not _same_facet_sets(a, b, a2, b2):
             raise InvalidBodyError("facet list does not match the vertex hull")
-        v2 = _vertices_from_facets(a, b)
-        if not _same_point_sets(v, v2):
-            raise InvalidBodyError("vertex list does not match the facet "
-                                   "intersection points")
+        gaps = np.max(np.abs(v[:, None, :] - v[None, :, :]), axis=-1)
+        if np.any(gaps[np.triu_indices(len(v), 1)] <= _SAME_POINT_TOL):
+            raise InvalidBodyError("vertex list repeats a vertex")
 
 
 # -- representation conversion helpers --------------------------------------
@@ -234,9 +249,12 @@ def _clean_points(pts: np.ndarray) -> np.ndarray:
     return _dedupe_rows(pts, tol=GEOM_TOL)
 
 
+def _sort_rows(rows: np.ndarray) -> np.ndarray:
+    return rows[np.lexsort(rows.T[::-1])]
+
+
 def _dedupe_rows(rows: np.ndarray, tol: float) -> np.ndarray:
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
+    rows = _sort_rows(rows)
     keep = []
     for r in rows:
         if not keep or min(np.max(np.abs(r - k)) for k in keep) > tol:
@@ -246,7 +264,7 @@ def _dedupe_rows(rows: np.ndarray, tol: float) -> np.ndarray:
 
 def _dedupe_facets(a: np.ndarray, b: np.ndarray):
     rows = np.column_stack([a, b])
-    rows = _dedupe_rows(rows, tol=1e-9)
+    rows = _dedupe_rows(rows, tol=GEOM_TOL)
     return rows[:, :-1], rows[:, -1]
 
 
@@ -265,7 +283,7 @@ def _facets_from_points(pts: np.ndarray):
         base = pts[list(subset)]
         diffs = base[1:] - base[0]
         u, s, vt = np.linalg.svd(diffs)
-        if s.size and s.min() < 1e-9 * max(1.0, s.max()):
+        if s.size and s.min() < _RANK_TOL * max(1.0, s.max()):
             continue  # affinely dependent subset
         normal = vt[-1]
         b = float(normal @ base[0])
@@ -276,7 +294,8 @@ def _facets_from_points(pts: np.ndarray):
             normal, b = -normal, -b
         else:
             continue
-        if not any(np.max(np.abs(normal - fa)) <= 1e-8 and abs(b - fb) <= 1e-8
+        if not any(np.max(np.abs(normal - fa)) <= _SAME_POINT_TOL
+                   and abs(b - fb) <= _SAME_POINT_TOL
                    for fa, fb in zip(found_a, found_b)):
             found_a.append(normal)
             found_b.append(b)
@@ -290,36 +309,31 @@ def _vertices_from_facets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     pts = []
     for subset in combinations(range(m), n):
         sub_a = a[list(subset)]
-        if abs(np.linalg.det(sub_a)) < 1e-9:
+        if abs(np.linalg.det(sub_a)) < _RANK_TOL:
             continue
         x = np.linalg.solve(sub_a, b[list(subset)])
         if np.max(a @ x - b) <= GEOM_TOL * max(1.0, float(np.max(np.abs(x)))):
             pts.append(x)
     if not pts:
         raise InvalidBodyError("halfspaces have no vertices")
-    return _dedupe_rows(np.array(pts), tol=1e-8)
+    return _dedupe_rows(np.array(pts), tol=_SAME_POINT_TOL)
 
 
-def _extreme_points(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = pts.shape[1]
-    keep = []
-    for p in pts:
-        rows = a[np.flatnonzero(a @ p - b >= -GEOM_TOL)]
-        if rows.shape[0] >= n and np.linalg.matrix_rank(rows, tol=1e-9) == n:
-            keep.append(p)
-    return np.array(keep)
+def _extreme_mask(a: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Which points are extreme: the facet normals active at each point (one
+    row of ``active`` per point) span the space."""
+    n = a.shape[1]
+    return np.array([np.count_nonzero(on) >= n
+                     and np.linalg.matrix_rank(a[on], tol=_RANK_TOL) == n
+                     for on in active], dtype=bool)
 
 
-def _same_point_sets(u: np.ndarray, v: np.ndarray, tol: float = 1e-8) -> bool:
+def _same_facet_sets(a1, b1, a2, b2) -> bool:
+    u, v = np.column_stack([a1, b1]), np.column_stack([a2, b2])
     if u.shape != v.shape:
         return False
-    d = np.max(np.abs(u[:, None, :] - v[None, :, :]), axis=-1)
-    return bool(np.all(d.min(axis=1) <= tol) and np.all(d.min(axis=0) <= tol))
-
-
-def _same_facet_sets(a1, b1, a2, b2, tol: float = 1e-8) -> bool:
-    return _same_point_sets(np.column_stack([a1, b1]), np.column_stack([a2, b2]),
-                            tol=tol)
+    close = np.max(np.abs(u[:, None, :] - v[None, :, :]), axis=-1) <= _SAME_POINT_TOL
+    return bool(close.any(axis=1).all() and close.any(axis=0).all())
 
 
 # -- support calculus --------------------------------------------------------
@@ -353,21 +367,21 @@ def polar(body: ConvexPolytope) -> ConvexPolytope:
     """Polar dual {x : <x, y> <= 1 for all y in the body}.
 
     Facets of the input map to vertices of the polar and vice versa; both
-    representations are produced directly and re-validated.
+    representations are produced directly, sorted, and given the margin
+    checks of every body.
     """
     if np.any(body.offsets <= GEOM_TOL):
         raise OriginNotInteriorError("polar needs the origin strictly inside "
                                      "the body")
     new_vertices = body.normals / body.offsets[:, None]
     norms = np.linalg.norm(body.vertices, axis=1)
-    if np.any(norms < 1e-12):
+    if np.any(norms < _ZERO_NORM_TOL):
         raise InvalidBodyError("a vertex at the origin has no polar facet")
     new_normals = body.vertices / norms[:, None]
     new_offsets = 1.0 / norms
     new_normals, new_offsets = _sort_facets(new_normals, new_offsets)
-    new_vertices = _dedupe_rows(new_vertices, tol=GEOM_TOL)
-    return ConvexPolytope.from_representations(new_normals, new_offsets,
-                                               new_vertices)
+    return ConvexPolytope._image(new_normals, new_offsets,
+                                 _sort_rows(new_vertices))
 
 
 @dataclass(frozen=True, eq=False)
@@ -527,9 +541,8 @@ def affine_image(body: ConvexPolytope, scale: float, translation=None) -> Convex
     new_normals = sign * body.normals
     new_offsets = abs(scale) * body.offsets + new_normals @ t
     new_normals, new_offsets = _sort_facets(new_normals, new_offsets)
-    new_vertices = _dedupe_rows(new_vertices, tol=GEOM_TOL)
-    return ConvexPolytope.from_representations(new_normals, new_offsets,
-                                               new_vertices)
+    return ConvexPolytope._image(new_normals, new_offsets,
+                                 _sort_rows(new_vertices))
 
 
 def translate(body: ConvexPolytope, translation) -> ConvexPolytope:
