@@ -27,6 +27,7 @@ from .curves import ClosedPolygonalCurve
 from .lp import make_lp, solve_lp
 
 CONE_TOL = 1e-8
+_ZERO_NORMAL_TOL = 1e-10  # a normal combination shorter than this is zero
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,9 +62,6 @@ class BilliardPair:
     @property
     def verified(self) -> bool:
         return all(r.passed for r in self.records)
-
-    def failures(self) -> tuple[BounceRecord, ...]:
-        return tuple(r for r in self.records if not r.passed)
 
 
 def verify_strong(table: ConvexPolytope, geometry: ConvexPolytope,
@@ -268,7 +266,7 @@ def verify_weak(table: ConvexPolytope, geometry: ConvexPolytope,
                 value_at_vertex=value, hyperplane_minimum=None))
             continue
         normal = sol
-        if np.linalg.norm(normal) <= 1e-10:
+        if np.linalg.norm(normal) <= _ZERO_NORMAL_TOL:
             # Zero combination: the vertex minimizes unconstrained, so any
             # supporting normal works; pick one for the cross-check.
             normal = table.normals[table.active_facets(q.points[j], tol)[0]]

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidBodyError
-from .geometry import ConvexPolytope, hausdorff_distance
+from .geometry import GEOM_TOL, ConvexPolytope, hausdorff_distance
 
 GENERATION_RETRIES = 200
 
@@ -112,7 +112,7 @@ def random_polygon(k: int, seed: int) -> ConvexPolytope:
             body = ConvexPolytope.from_vertices(pts)
         except InvalidBodyError:
             continue
-        if len(body.vertices) == k and np.all(body.offsets > 1e-9):
+        if len(body.vertices) == k and np.all(body.offsets > GEOM_TOL):
             return body
     raise InvalidBodyError(
         f"could not place {k} points in convex position after "

@@ -60,6 +60,7 @@ from .errors import (
 from .geometry import (
     GEOM_TOL,
     ConvexPolytope,
+    _RANK_TOL,
     chebyshev_center,
     negate,
     translate,
@@ -69,6 +70,7 @@ from .lp import make_lp, solve_lp
 VALUE_TIE_TOL = 1e-9
 LENGTH_AGREEMENT_TOL = 1e-8
 QUANTITY_AGREEMENT_TOL = 1e-6
+_MOMENTUM_MATCH_TOL = 1e-8  # a collinear point merges when its momenta agree
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,7 +426,7 @@ def _merge_degenerate_pairs(points: np.ndarray, momenta: np.ndarray):
         for j in range(m):
             if not _on_segment(pts[j], pts[j - 1], pts[(j + 1) % m]):
                 continue
-            if np.linalg.norm(mom[j] - mom[j - 1]) > 1e-8:
+            if np.linalg.norm(mom[j] - mom[j - 1]) > _MOMENTUM_MATCH_TOL:
                 return None
             del pts[j], mom[j]
             changed = True
@@ -535,7 +537,7 @@ def _facet_grid(body: ConvexPolytope, facet: int, step: float) -> np.ndarray:
     centroid = corners.mean(axis=0)
     shifted = corners - centroid
     _, s, vt = np.linalg.svd(shifted, full_matrices=False)
-    basis = vt[s > 1e-9 * max(1.0, s.max())]  # rows span the facet plane
+    basis = vt[s > _RANK_TOL * max(1.0, s.max())]  # rows span the facet plane
     coords = shifted @ basis.T
     axes = []
     for k in range(coords.shape[1]):
@@ -548,12 +550,12 @@ def _facet_grid(body: ConvexPolytope, facet: int, step: float) -> np.ndarray:
     return np.vstack([corners, candidates[inside]])
 
 
-def _dedupe(points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _dedupe(points: np.ndarray) -> np.ndarray:
     order = np.lexsort(points.T[::-1])
     pts = points[order]
     keep = [pts[0]]
     for p in pts[1:]:
-        if np.max(np.abs(p - keep[-1])) > tol:
+        if np.max(np.abs(p - keep[-1])) > GEOM_TOL:
             keep.append(p)
     return np.array(keep)
 

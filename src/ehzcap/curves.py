@@ -21,10 +21,10 @@ from .errors import (
     NoValidSubselectionError,
     OriginNotInteriorError,
 )
-from .geometry import GEOM_TOL, ConvexPolytope, support_function
-from .lp import make_lp, solve_lp
+from .geometry import GEOM_TOL, ConvexPolytope, _clearance_lp, support_function
 
 PINNED_TOL = 1e-8
+_LENGTH_TIE_TOL = 1e-9  # subselection lengths this close to the best tie
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,13 +98,13 @@ class ClosedPolygonalCurve:
         return f"ClosedPolygonalCurve({self.points.tolist()})"
 
 
-def _on_segment(point, start, end, tol: float = GEOM_TOL) -> bool:
+def _on_segment(point, start, end) -> bool:
     d = end - start
     length2 = float(d @ d)
-    if length2 <= tol * tol:
-        return bool(np.linalg.norm(point - start) <= tol)
+    if length2 <= GEOM_TOL * GEOM_TOL:
+        return bool(np.linalg.norm(point - start) <= GEOM_TOL)
     s = float(np.clip((point - start) @ d / length2, 0.0, 1.0))
-    return bool(np.linalg.norm(point - (start + s * d)) <= tol)
+    return bool(np.linalg.norm(point - (start + s * d)) <= GEOM_TOL)
 
 
 def canonicalize(points) -> ClosedPolygonalCurve:
@@ -187,20 +187,15 @@ def translation_margin(body: ConvexPolytope, curve: ClosedPolygonalCurve,
     """
     if body.dim != curve.dim:
         raise DimensionMismatchError("curve and body dimensions differ")
-    n = body.dim
     reach = curve.points @ body.normals.T  # (m, F)
     worst = reach.max(axis=0)  # per-facet max over vertices
-    # variables (t, eps): minimize -eps s.t. <a_i, t> + eps <= b_i - worst_i
-    c = np.zeros(n + 1)
-    c[n] = -1.0
-    a_ub = np.hstack([body.normals, np.ones((body.num_facets, 1))])
-    sol = solve_lp(make_lp(c, a_ub=a_ub, b_ub=body.offsets - worst))
+    sol = _clearance_lp(body, body.offsets - worst)
     if sol.status != "optimal":
         raise LpNumericalError(
             f"translation-margin program ended with status {sol.status}; it "
             "is feasible and bounded for a valid body")
-    margin = float(sol.x[n])
-    translation = sol.x[:n].copy()
+    margin = float(sol.x[-1])
+    translation = sol.x[:-1].copy()
     translation.flags.writeable = False
     return TranslationCertificate(margin=margin, translation=translation,
                                   active_facets=sol.active_ub,
@@ -252,7 +247,7 @@ def reduce_vertex_count(body: ConvexPolytope, curve: ClosedPolygonalCurve,
         lengths = [minkowski_length(length_body, c) for c in found]
         best = min(lengths)
         for c, val in zip(found, lengths):
-            if val <= best + 1e-9:
+            if val <= best + _LENGTH_TIE_TOL:
                 return c
     raise NoValidSubselectionError(
         "no pinned subselection of any size exists; the pinned precondition "

@@ -5,14 +5,18 @@ facet (H) and a vertex (V) representation in sync.  Facet normals are unit
 vectors.  :meth:`ConvexPolytope.from_vertices` derives the facets by
 n-subset incidence enumeration, which is exact at the dimensions this
 package targets (2 <= n <= 4); :meth:`ConvexPolytope.from_halfspaces`
-enumerates the intersection points of its facets and then takes the vertex
-route.  A body is validated once: given both representations, the margins,
-facet supports, vertex extremality and distinct vertices are checked, and
-the hull of the vertices must reproduce the facets.  Images of a validated
-body (:func:`affine_image`, :func:`translate`, :func:`negate`,
-:func:`polar`) map its arrays exactly or up to rounding, so they keep only
-the shape, finiteness, unit-normal and margin checks.  All predicates
-resolve at ``GEOM_TOL``.
+rejects halfspaces whose normals leave the origin outside the interior of
+their hull, the unbounded regions, then enumerates the intersection points
+of its facets and takes the vertex route.  A body is validated once.  Every
+body built from outside input gets the structural checks: margins, facet
+supports, vertex extremality and distinct vertices.  Facets that come from
+outside, given beside the vertices, must also be reproduced by the hull of
+the vertices; facets that ``from_vertices`` derived are that hull already,
+so they are not compared with it again.  Images of a validated body
+(:func:`affine_image`, :func:`translate`, :func:`negate`, :func:`polar`)
+map its arrays exactly or up to rounding, so they keep only the shape,
+finiteness, unit-normal and margin checks.  All predicates resolve at
+``GEOM_TOL``.
 """
 
 from __future__ import annotations
@@ -37,7 +41,10 @@ MEMBERSHIP_TOL = 1e-8
 _RANK_TOL = 1e-9  # rank, determinant and singular-value cut-off
 _SAME_POINT_TOL = 1e-8  # max-abs distance at which two rows are one point
 _ZERO_NORM_TOL = 1e-12  # a normal or vertex shorter than this is zero
-_UNBOUNDED_SLACK = 1e-7  # input halfspace slack that shows an unbounded set
+# Wolfe's min-norm-point solver: the relative duality gap that stops it,
+# and the weight below which an atom leaves the support.
+_MNP_GAP_TOL = 1e-14
+_MNP_WEIGHT_TOL = 1e-12
 MIN_DIM = 2
 MAX_DIM = 4
 
@@ -47,9 +54,11 @@ class ConvexPolytope:
 
     Build instances through :meth:`from_vertices`, :meth:`from_halfspaces`
     or :meth:`from_representations`; the raw constructor expects both
-    representations and validates them against each other once.  Images of
-    a validated body are built without repeating that proof.  Instances are
-    immutable; the backing arrays are read-only views.
+    representations and validates them against each other once, hull
+    comparison included.  The vertex route computes the hull once and checks
+    only the structure of the body it builds.  Images of a validated body
+    are built without repeating the proof.  Instances are immutable; the
+    backing arrays are read-only views.
     """
 
     def __init__(self, normals, offsets, vertices):
@@ -59,7 +68,8 @@ class ConvexPolytope:
     @classmethod
     def _image(cls, normals, offsets, vertices) -> "ConvexPolytope":
         """A body from arrays that map a validated body exactly or up to
-        rounding; only the checks of :meth:`_adopt` run."""
+        rounding, or that ``from_vertices`` derived; only the checks of
+        :meth:`_adopt` run."""
         body = cls.__new__(cls)
         body._adopt(normals, offsets, vertices)
         return body
@@ -102,7 +112,11 @@ class ConvexPolytope:
             raise InvalidBodyError("points do not span the ambient dimension")
         normals, offsets = _facets_from_points(pts)
         active = np.array([normals @ p - offsets >= -GEOM_TOL for p in pts])
-        return cls(normals, offsets, pts[_extreme_mask(normals, active)])
+        # The facets are the hull of these very points, so comparing them
+        # with a hull again would prove nothing; the structure still decides.
+        body = cls._image(normals, offsets, pts[_extreme_mask(normals, active)])
+        body._check_structure()
+        return body
 
     @classmethod
     def from_halfspaces(cls, normals, offsets) -> "ConvexPolytope":
@@ -119,12 +133,13 @@ class ConvexPolytope:
         a = a / norms[:, None]
         b = b / norms
         a, b = _dedupe_facets(a, b)
-        # The hull of the intersection points drops redundant input rows.
-        body = cls.from_vertices(_vertices_from_facets(a, b))
-        support = body.vertices @ a.T
-        if np.any(np.max(support, axis=0) > b + _UNBOUNDED_SLACK):
+        # The region is bounded exactly when the origin is interior to the
+        # hull of the normals.
+        if (np.linalg.matrix_rank(a - a[0], tol=_RANK_TOL) < a.shape[1]
+                or np.any(_facets_from_points(a)[1] <= GEOM_TOL)):
             raise InvalidBodyError("halfspaces describe an unbounded set")
-        return body
+        # The hull of the intersection points drops redundant input rows.
+        return cls.from_vertices(_vertices_from_facets(a, b))
 
     @classmethod
     def from_representations(cls, normals, offsets, vertices) -> "ConvexPolytope":
@@ -204,6 +219,17 @@ class ConvexPolytope:
     def _validate(self) -> None:
         """The proof that both representations describe one polytope, on
         top of :meth:`_adopt`'s checks."""
+        self._check_structure()
+        # Cross-reproduction: the hull of the vertices yields these facets.
+        # With the margins and the structure, this pins both
+        # representations to the same bounded polytope.
+        if not _same_facet_sets(self._normals, self._offsets,
+                                *_facets_from_points(self._vertices)):
+            raise InvalidBodyError("facet list does not match the vertex hull")
+
+    def _check_structure(self) -> None:
+        """Rank, facet support, vertex extremality and distinct vertices:
+        all of the proof but the hull comparison."""
         a, b, v = self._normals, self._offsets, self._vertices
         n = self.dim
         if np.linalg.matrix_rank(v - v[0], tol=_RANK_TOL) < n:
@@ -221,12 +247,6 @@ class ConvexPolytope:
         if not extreme.all():
             raise InvalidBodyError(
                 f"vertex {int(np.argmin(extreme))} is not an extreme point")
-        # Cross-reproduction: the hull of the vertices yields these facets.
-        # With the margins and extremality above, this pins both
-        # representations to the same bounded polytope.
-        a2, b2 = _facets_from_points(v)
-        if not _same_facet_sets(a, b, a2, b2):
-            raise InvalidBodyError("facet list does not match the vertex hull")
         gaps = np.max(np.abs(v[:, None, :] - v[None, :, :]), axis=-1)
         if np.any(gaps[np.triu_indices(len(v), 1)] <= _SAME_POINT_TOL):
             raise InvalidBodyError("vertex list repeats a vertex")
@@ -404,10 +424,10 @@ class Cone:
         v = np.atleast_1d(np.asarray(vector, dtype=float))
         g = self.generators
         n = v.shape[0]
+        bound = tol * (1.0 + float(np.linalg.norm(v)))
         if g.size == 0:
             res = float(np.sum(np.abs(v)))
-            return ConeMembership(res <= tol * (1.0 + float(np.linalg.norm(v))),
-                                  res, np.zeros(0))
+            return ConeMembership(res <= bound, res, np.zeros(0))
         k = g.shape[0]
         # minimize sum(e+ + e-) s.t. g.T lam + e+ - e- = v, lam, e >= 0
         c = np.concatenate([np.zeros(k), np.ones(2 * n)])
@@ -419,8 +439,7 @@ class Cone:
                 f"cone-membership program ended with status {sol.status}; it "
                 "is feasible and bounded below by construction")
         res = float(sol.objective)
-        return ConeMembership(res <= tol * (1.0 + float(np.linalg.norm(v))),
-                              res, sol.x[:k])
+        return ConeMembership(res <= bound, res, sol.x[:k])
 
     def contains(self, vector, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.membership(vector, tol).inside
@@ -454,22 +473,22 @@ def project_point(body: ConvexPolytope, point) -> tuple[np.ndarray, float]:
     """
     y = body._as_point(point)
     atoms = body.vertices - y
-    x, coeffs = _min_norm_point(atoms)
+    x = _min_norm_point(atoms)
     return y + x, float(np.linalg.norm(x))
 
 
-def _min_norm_point(atoms: np.ndarray, max_iter: int = 1000):
+def _min_norm_point(atoms: np.ndarray):
     norms2 = np.sum(atoms * atoms, axis=1)
     scale = 1.0 + float(norms2.max())
     start = int(np.argmin(norms2))
     support = [start]
     lam = np.array([1.0])
     x = atoms[start].copy()
-    for _ in range(max_iter):
+    for _ in range(1000):
         dots = atoms @ x
         j = int(np.argmin(dots))
         gap = float(x @ x - dots[j])
-        if gap <= 1e-14 * scale:
+        if gap <= _MNP_GAP_TOL * scale:
             break
         if j not in support:
             support.append(j)
@@ -486,23 +505,21 @@ def _min_norm_point(atoms: np.ndarray, max_iter: int = 1000):
             rhs = np.zeros(k + 1)
             rhs[k] = 1.0
             alpha = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
-            if np.all(alpha >= -1e-12):
+            if np.all(alpha >= -_MNP_WEIGHT_TOL):
                 lam = np.maximum(alpha, 0.0)
                 lam /= lam.sum()
                 break
             shrink = lam - alpha
-            steps = np.where(alpha < 0, lam / np.maximum(shrink, 1e-300), np.inf)
+            steps = np.divide(lam, shrink, out=np.full(k, np.inf), where=alpha < 0)
             theta = float(np.min(steps))
             lam = (1.0 - theta) * lam + theta * alpha
-            lam[lam < 1e-12] = 0.0
+            lam[lam < _MNP_WEIGHT_TOL] = 0.0
             alive = np.flatnonzero(lam > 0)
             support = [support[i] for i in alive]
             lam = lam[alive]
             lam /= lam.sum()
         x = atoms[support].T @ lam
-    full = np.zeros(len(atoms))
-    full[support] = lam
-    return x, full
+    return x
 
 
 def hausdorff_distance(first: ConvexPolytope, second: ConvexPolytope) -> float:
@@ -519,16 +536,25 @@ def hausdorff_distance(first: ConvexPolytope, second: ConvexPolytope) -> float:
 
 def chebyshev_center(body: ConvexPolytope) -> tuple[np.ndarray, float]:
     """Center and radius of a largest inscribed ball (deterministic LP pick)."""
-    n = body.dim
-    c = np.zeros(n + 1)
-    c[n] = -1.0
-    a_ub = np.hstack([body.normals, np.ones((body.num_facets, 1))])
-    sol = solve_lp(make_lp(c, a_ub=a_ub, b_ub=body.offsets))
+    sol = _clearance_lp(body, body.offsets)
     if sol.status != "optimal":
         raise LpNumericalError(
             f"Chebyshev-center program ended with status {sol.status}; it is "
             "feasible and bounded for a valid body")
-    return sol.x[:n], float(sol.x[n])
+    return sol.x[:-1], float(sol.x[-1])
+
+
+def _clearance_lp(body: ConvexPolytope, bounds: np.ndarray):
+    """Solve ``max eps  s.t.  <a_i, t> + eps <= bounds_i`` over (t, eps).
+
+    With the body's offsets as bounds, eps is the inscribed radius at t;
+    with the offsets less a curve's reach per facet, it is the clearance of
+    the curve translated by t.
+    """
+    c = np.zeros(body.dim + 1)
+    c[-1] = -1.0
+    a_ub = np.hstack([body.normals, np.ones((body.num_facets, 1))])
+    return solve_lp(make_lp(c, a_ub=a_ub, b_ub=bounds))
 
 
 def affine_image(body: ConvexPolytope, scale: float, translation=None) -> ConvexPolytope:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ehzcap.billiards
+import ehzcap.capacity
 import ehzcap.geometry
 from ehzcap.billiards import CONE_TOL, extract_dual, verify_strong, verify_weak
 from ehzcap.bodies import random_polygon
@@ -134,12 +135,22 @@ class TestVerifyStrong:
         def refuse(*args, **kwargs):
             raise AssertionError("bounce-law verification solved an LP")
 
-        monkeypatch.setattr(ehzcap.geometry, "solve_lp", refuse)
-        monkeypatch.setattr(ehzcap.billiards, "solve_lp", refuse)
-        assert verify_strong(square(), square(), width_curve(),
-                             [[1, 0], [-1, 0]]).verified
-        assert not verify_strong(square(), square(), width_curve(),
-                                 [[-1, 0], [1, 0]]).verified
+        def refusing_lps(call):
+            def guarded(*args):
+                with monkeypatch.context() as m:
+                    m.setattr(ehzcap.geometry, "solve_lp", refuse)
+                    m.setattr(ehzcap.billiards, "solve_lp", refuse)
+                    return call(*args)
+            return guarded
+
+        assert refusing_lps(verify_strong)(
+            square(), square(), width_curve(), [[1, 0], [-1, 0]]).verified
+        assert not refusing_lps(verify_strong)(
+            square(), square(), width_curve(), [[-1, 0], [1, 0]]).verified
+        # The solve's own translation-margin certificate is an LP in
+        # ``geometry``; realization and verification must solve none.
+        monkeypatch.setattr(ehzcap.capacity, "_realize_billiard",
+                            refusing_lps(ehzcap.capacity._realize_billiard))
         assert ehz_capacity(square(), cross()).realized
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import ehzcap.curves
+import ehzcap.geometry
 from ehzcap.curves import (
     ClosedPolygonalCurve,
     canonicalize,
@@ -210,7 +210,7 @@ class TestTranslationMargin:
             assert margin <= cert.margin + 1e-9
 
     def test_nonoptimal_program_raises_naming_the_stage(self, monkeypatch):
-        monkeypatch.setattr(ehzcap.curves, "solve_lp",
+        monkeypatch.setattr(ehzcap.geometry, "solve_lp",
                             lambda lp: LpSolution(status="unbounded"))
         with pytest.raises(LpNumericalError, match="translation-margin"):
             translation_margin(square(), back_and_forth())
