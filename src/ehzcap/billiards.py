@@ -121,6 +121,15 @@ def _support_gaps(body: ConvexPolytope, vectors: np.ndarray,
     return gaps, gaps <= bound
 
 
+def _require_on_boundary(table: ConvexPolytope, q: ClosedPolygonalCurve,
+                         tol: float) -> None:
+    """Raise unless every curve vertex lies on the table boundary."""
+    for j, point in enumerate(q.points):
+        if table.locate(point, tol) != "boundary":
+            raise PointOffBoundaryError(
+                f"curve vertex {j} is not on the table boundary")
+
+
 def extract_dual(table: ConvexPolytope, geometry: ConvexPolytope,
                  q: ClosedPolygonalCurve, tol: float = CONE_TOL) -> np.ndarray:
     """Recover a momentum sequence turning q into a verified strong pair.
@@ -135,10 +144,7 @@ def extract_dual(table: ConvexPolytope, geometry: ConvexPolytope,
     """
     n = table.dim
     m = q.num_points
-    for j, point in enumerate(q.points):
-        if table.locate(point, tol) != "boundary":
-            raise PointOffBoundaryError(
-                f"curve vertex {j} is not on the table boundary")
+    _require_on_boundary(table, q, tol)
     deltas = q.deltas
     face_values = [support_function(geometry, d)[0] for d in deltas]
     active = [table.active_facets(q.points[(j + 1) % m], tol) for j in range(m)]
@@ -247,10 +253,7 @@ def verify_weak(table: ConvexPolytope, geometry: ConvexPolytope,
     property of the input.
     """
     m = q.num_points
-    for j, point in enumerate(q.points):
-        if table.locate(point, tol) != "boundary":
-            raise PointOffBoundaryError(
-                f"curve vertex {j} is not on the table boundary")
+    _require_on_boundary(table, q, tol)
     deltas = q.deltas
     records = []
     for j in range(m):

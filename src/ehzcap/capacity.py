@@ -27,7 +27,9 @@ two bodies swapped, and on both sides a strong billiard trajectory of the
 optimal length is reconstructed and verified once, against the user's
 bodies.  The bounce laws are the KKT conditions of the assignment program,
 so the trajectory's momenta are that program's own multipliers and
-realization solves no further LP.  A brute-force grid oracle provides an
+realization solves no further LP.  The trajectory is cleaned of
+degenerate points by the loop that makes the minimizer canonical, so the
+two curves of one solve come from one decision.  A brute-force grid oracle provides an
 independent upper-bound search for tests.
 """
 
@@ -44,7 +46,7 @@ from .curves import (
     PINNED_TOL,
     ClosedPolygonalCurve,
     TranslationCertificate,
-    _on_segment,
+    _canonical_rows,
     canonicalize,
     minkowski_length,
     translation_margin,
@@ -70,7 +72,6 @@ from .lp import make_lp, solve_lp
 VALUE_TIE_TOL = 1e-9
 LENGTH_AGREEMENT_TOL = 1e-8
 QUANTITY_AGREEMENT_TOL = 1e-6
-_MOMENTUM_MATCH_TOL = 1e-8  # a collinear point merges when its momenta agree
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,6 +262,14 @@ def solve_assignment(table: ConvexPolytope, length_body: ConvexPolytope,
                               momenta=sol.ineq_duals[:m * v].reshape(m, v) @ w)
 
 
+def _relative_spread(values) -> float:
+    """Spread of the values relative to the smallest, the deviation both
+    agreement reports compare with ``QUANTITY_AGREEMENT_TOL``."""
+    vals = list(values)
+    lo, hi = min(vals), max(vals)
+    return (hi - lo) / (1.0 + abs(lo))
+
+
 @dataclass(frozen=True, eq=False)
 class CrossCheckQuantities:
     """The four independently computed numbers that must all agree.
@@ -289,9 +298,7 @@ class CrossCheckQuantities:
 
     @property
     def max_relative_deviation(self) -> float:
-        vals = self.present()
-        lo, hi = min(vals), max(vals)
-        return (hi - lo) / (1.0 + abs(lo))
+        return _relative_spread(self.present())
 
     @property
     def consistent(self) -> bool:
@@ -391,77 +398,29 @@ def _solve_side(table: ConvexPolytope, geometry: ConvexPolytope) -> _SideSolve:
                       length_shift=shift)
 
 
-def _merge_degenerate_pairs(points: np.ndarray, momenta: np.ndarray):
-    """Remove curve degeneracies while preserving the strong bounce laws.
-
-    Points are dropped in the order :func:`canonicalize` drops them, so the
-    merged curve is the canonical one.  A coincident pair drops the later
-    point with the zero segment's momentum: the two kicks combine at the
-    shared bounce point, whose normal cone contains both.  A collinear point
-    may only be dropped when its momentum equals the previous one, so the
-    merged segment keeps a single valid momentum.  Returns None when a
-    collinear point with a genuine kick blocks the merge.
-    """
-    pts = [p.copy() for p in points]
-    mom = [p.copy() for p in momenta]
-    changed = True
-    while changed:
-        changed = False
-        m = len(pts)
-        if m < 2:
-            return None
-        for j in range(m):
-            later = (j + 1) % m
-            if np.linalg.norm(pts[later] - pts[j]) <= GEOM_TOL:
-                # point j takes the momentum of the segment that leaves the
-                # shared point, which keeps the lists aligned when later == 0
-                mom[j] = mom[later]
-                del pts[later], mom[later]
-                changed = True
-                break
-        if changed:
-            continue
-        if m <= 2:
-            break
-        for j in range(m):
-            if not _on_segment(pts[j], pts[j - 1], pts[(j + 1) % m]):
-                continue
-            if np.linalg.norm(mom[j] - mom[j - 1]) > _MOMENTUM_MATCH_TOL:
-                return None
-            del pts[j], mom[j]
-            changed = True
-            break
-    if len(pts) < 2:
-        return None
-    return np.array(pts), np.array(mom)
-
-
 def _realize_billiard(table: ConvexPolytope, geometry: ConvexPolytope,
                       side: _SideSolve):
     """Find a strong trajectory at the side's optimal value, verified once.
 
     Per value-tied assignment, pairs the optimal touching curve with the
-    momenta from the assignment program's own multipliers, merges away
-    degenerate points and shifts the momenta by ``side.length_shift``; the
-    first pair ``verify_strong`` accepts against the user's bodies is kept.
-    Returns (curve, momenta, length, note); all but the note are None when
-    no tie verifies or the verified length is not ``side.value``.
+    momenta from the assignment program's own multipliers, cleans both with
+    the loop :func:`canonicalize` cleans the minimizer with
+    (:func:`~ehzcap.curves._canonical_rows`) and shifts the momenta by
+    ``side.length_shift``; the first pair ``verify_strong`` accepts against
+    the user's bodies is kept.  Returns (curve, momenta, length, note); all
+    but the note are None when no tie verifies or the verified length is
+    not ``side.value``.
     """
     notes = []
     for solution in side.tied:
         label = str(solution.assignment.indices)
-        merged = _merge_degenerate_pairs(solution.points, solution.momenta)
-        if merged is None:
-            notes.append(f"{label}: a collinear bounce with a genuine kick "
-                         "blocks the merge")
-            continue
-        points, momenta = merged
         try:
-            curve = ClosedPolygonalCurve(points)
+            rows, carry = _canonical_rows(solution.points, solution.momenta)
+            curve = ClosedPolygonalCurve(solution.points[rows])
         except CurveCollapseError as exc:
-            notes.append(f"{label}: minimizer collapsed ({exc})")
+            notes.append(f"{label}: {exc}")
             continue
-        momenta = momenta + side.length_shift
+        momenta = solution.momenta[carry] + side.length_shift
         if verify_strong(table, geometry, curve, momenta).verified:
             break
         notes.append(f"{label}: multiplier momenta failed verification")
@@ -639,9 +598,7 @@ class IdentityReport:
 
     @property
     def max_relative_deviation(self) -> float:
-        vals = list(self.values.values())
-        lo, hi = min(vals), max(vals)
-        return (hi - lo) / (1.0 + abs(lo))
+        return _relative_spread(self.values.values())
 
     @property
     def consistent(self) -> bool:

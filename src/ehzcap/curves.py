@@ -5,6 +5,12 @@ the support function of a fixed convex body, so the total length of a curve
 depends on the body but not on any parametrization.  The translation margin
 of a curve inside a body decides whether the curve can be pushed into the
 body's interior; curves that cannot are called pinned here.
+
+One scan finds a curve's degeneracies, coincident neighbours and a vertex
+on its neighbours' segment, and one loop drops them.  The constructor
+rejects what the scan finds; :func:`canonicalize` cleans the canonical
+minimizer with the loop, and the capacity solver cleans the realized
+billiard trajectory, momenta and all, with the same loop.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .geometry import GEOM_TOL, ConvexPolytope, _clearance_lp, support_function
 
 PINNED_TOL = 1e-8
 _LENGTH_TIE_TOL = 1e-9  # subselection lengths this close to the best tie
+_MOMENTUM_MATCH_TOL = 1e-8  # a collinear point merges when its momenta agree
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,15 +51,13 @@ class ClosedPolygonalCurve:
             raise CurveCollapseError("a closed curve needs at least two vertices")
         if not np.all(np.isfinite(pts)):
             raise CurveCollapseError("non-finite vertex data")
-        m = pts.shape[0]
-        deltas = np.roll(pts, -1, axis=0) - pts
-        if np.any(np.linalg.norm(deltas, axis=1) <= GEOM_TOL):
-            raise CurveCollapseError("consecutive vertices coincide")
-        if m > 2:
-            for j in range(m):
-                if _on_segment(pts[j], pts[j - 1], pts[(j + 1) % m]):
-                    raise CurveCollapseError(
-                        f"vertex {j} lies on the segment of its neighbours")
+        found = _first_degeneracy(pts)
+        if found is not None:
+            kind, j = found
+            if kind == "coincident":
+                raise CurveCollapseError("consecutive vertices coincide")
+            raise CurveCollapseError(
+                f"vertex {j} lies on the segment of its neighbours")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
@@ -107,39 +112,71 @@ def _on_segment(point, start, end) -> bool:
     return bool(np.linalg.norm(point - (start + s * d)) <= GEOM_TOL)
 
 
+def _first_degeneracy(pts):
+    """The first degeneracy of a cyclic point list, or None.
+
+    Coincident neighbours come first: ``("coincident", j)`` when point j+1
+    repeats point j.  Only then, and only for more than two points,
+    ``("collinear", j)`` when point j lies on the segment of its neighbours.
+    """
+    m = len(pts)
+    for j in range(m):
+        if np.linalg.norm(pts[(j + 1) % m] - pts[j]) <= GEOM_TOL:
+            return "coincident", j
+    if m > 2:
+        for j in range(m):
+            if _on_segment(pts[j], pts[j - 1], pts[(j + 1) % m]):
+                return "collinear", j
+    return None
+
+
+def _canonical_rows(points, momenta=None):
+    """Rows of the points that :func:`canonicalize` keeps, and the momentum
+    row each kept point carries.
+
+    The first degeneracy is removed until none is left, because deleting
+    one point can make a previously bent neighbour collinear.  A coincident
+    pair drops the later point, and the earlier one carries the momentum of
+    the segment that leaves the shared point: the two kicks combine at one
+    bounce point, whose normal cone holds both.  A collinear point is
+    dropped; with momenta, only when its momentum matches the previous one,
+    so the merged segment keeps a single momentum.
+    """
+    pts = np.asarray(points)
+    rows = list(range(len(pts)))
+    carry = list(rows)
+    while len(rows) >= 2:
+        found = _first_degeneracy(pts[rows])
+        if found is None:
+            break
+        kind, j = found
+        if kind == "coincident":
+            later = (j + 1) % len(rows)
+            carry[j] = carry[later]
+            del rows[later], carry[later]
+            continue
+        if momenta is not None and np.linalg.norm(
+                momenta[carry[j]] - momenta[carry[j - 1]]) > _MOMENTUM_MATCH_TOL:
+            raise CurveCollapseError(
+                "a collinear bounce with a genuine kick blocks the merge")
+        del rows[j], carry[j]
+    if len(rows) < 2:
+        raise CurveCollapseError("curve collapses to a point")
+    return rows, carry
+
+
 def canonicalize(points) -> ClosedPolygonalCurve:
     """Drop coincident and collinear vertices until the curve is canonical.
 
-    Removal is cyclic and iterates to a fixed point, because deleting one
-    vertex can make a previously bent neighbour collinear.  Lengths measured
-    by any convex body are preserved.  Raises when fewer than two distinct
-    vertices remain.
+    The drop loop is :func:`_canonical_rows`, the one that also cleans a
+    realized billiard trajectory together with its momenta, and it stops on
+    the scan the constructor checks with.  Lengths measured by any convex
+    body are preserved.  Raises when fewer than two distinct vertices
+    remain.
     """
-    pts = [np.asarray(p, dtype=float) for p in np.atleast_2d(
-        np.asarray(points, dtype=float))]
-    changed = True
-    while changed:
-        changed = False
-        m = len(pts)
-        if m < 2:
-            break
-        for j in range(m):
-            if np.linalg.norm(pts[(j + 1) % m] - pts[j]) <= GEOM_TOL:
-                del pts[(j + 1) % m]
-                changed = True
-                break
-        if changed:
-            continue
-        if m <= 2:
-            break
-        for j in range(m):
-            if _on_segment(pts[j], pts[j - 1], pts[(j + 1) % m]):
-                del pts[j]
-                changed = True
-                break
-    if len(pts) < 2:
-        raise CurveCollapseError("curve collapses to a point")
-    return ClosedPolygonalCurve(np.array(pts))
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    rows, _ = _canonical_rows(pts)
+    return ClosedPolygonalCurve(pts[rows])
 
 
 def minkowski_length(length_body: ConvexPolytope,

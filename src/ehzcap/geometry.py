@@ -92,7 +92,10 @@ class ConvexPolytope:
             raise InvalidBodyError("facet normals are not unit vectors")
         if v.shape[0] < n + 1:
             raise InvalidBodyError("too few vertices for the ambient dimension")
-        if float(np.max(v @ a.T - b)) > GEOM_TOL:
+        # Rounding grows with the coordinates, so the margin scales with the
+        # largest vertex norm beyond 1.
+        radius = float(np.max(np.linalg.norm(v, axis=1)))
+        if float(np.max(v @ a.T - b)) > GEOM_TOL * max(1.0, radius):
             raise InvalidBodyError("a vertex violates a facet inequality")
         for arr in (a, b, v):
             arr.flags.writeable = False

@@ -20,18 +20,19 @@ from ehzcap.capacity import (
     _centered_length_body,
     _centrally_symmetric,
     _margin_dual_vertices,
-    _merge_degenerate_pairs,
     _one_orientation,
     _realize_billiard,
     _solve_side,
 )
 from ehzcap.curves import (
     ClosedPolygonalCurve,
+    _canonical_rows,
     canonicalize,
     minkowski_length,
     translation_margin,
 )
 from ehzcap.errors import (
+    CurveCollapseError,
     InvalidBodyError,
     LpNumericalError,
     OriginNotInteriorError,
@@ -363,9 +364,10 @@ class TestSolveAssignment:
         assert out.momenta.shape == out.points.shape
         for p in out.momenta:
             assert cube().contains(p)
-        points, momenta = _merge_degenerate_pairs(out.points, out.momenta)
-        assert verify_strong(cube(), cube(), ClosedPolygonalCurve(points),
-                             momenta).verified
+        rows, carry = _canonical_rows(out.points, out.momenta)
+        assert verify_strong(cube(), cube(),
+                             ClosedPolygonalCurve(out.points[rows]),
+                             out.momenta[carry]).verified
 
 
 SYMMETRIC_BODIES = {
@@ -437,34 +439,33 @@ class TestReversalFilter:
         assert side.tied[0].assignment.indices == first.assignment.indices
 
 
-class TestMergeDegeneratePairs:
+class TestCanonicalRowsWithMomenta:
     def test_spike_between_coincident_neighbours_is_kept(self):
         points = np.array([[1.0, 0, 0], [0, 1, 0], [1, 0, 0], [0, 0, 1]])
         momenta = np.arange(12.0).reshape(4, 3)
-        merged = _merge_degenerate_pairs(points, momenta)
-        assert merged is not None
-        np.testing.assert_array_equal(merged[0], points)
-        np.testing.assert_array_equal(merged[1], momenta)
+        rows, carry = _canonical_rows(points, momenta)
+        assert rows == carry == [0, 1, 2, 3]
 
     def test_coincident_pair_drops_the_later_point(self):
         points = np.array([[0.0, 0], [1, 0], [1, 1e-12], [0, 1]])
         momenta = np.arange(8.0).reshape(4, 2)
-        merged_points, merged_momenta = _merge_degenerate_pairs(points, momenta)
-        np.testing.assert_array_equal(merged_points, points[[0, 1, 3]])
-        np.testing.assert_array_equal(merged_momenta, momenta[[0, 2, 3]])
+        rows, carry = _canonical_rows(points, momenta)
+        assert (rows, carry) == ([0, 1, 3], [0, 2, 3])
 
     def test_wrapped_coincident_pair_matches_canonicalize(self):
         points = np.array([[0.0, 0], [1, 0], [0, 1], [0, 0]])
         momenta = np.arange(8.0).reshape(4, 2)
-        merged_points, merged_momenta = _merge_degenerate_pairs(points, momenta)
-        np.testing.assert_array_equal(merged_points,
+        rows, carry = _canonical_rows(points, momenta)
+        np.testing.assert_array_equal(points[rows],
                                       canonicalize(points).points)
-        np.testing.assert_array_equal(merged_momenta, momenta[[1, 2, 0]])
+        assert carry == [1, 2, 0]
 
     def test_collinear_point_with_a_kick_blocks_the_merge(self):
         points = np.array([[0.0, 0], [0.5, 0], [1, 0], [0, 1]])
         momenta = np.arange(8.0).reshape(4, 2)
-        assert _merge_degenerate_pairs(points, momenta) is None
+        with pytest.raises(CurveCollapseError, match=re.escape(
+                "a collinear bounce with a genuine kick blocks the merge")):
+            _canonical_rows(points, momenta)
 
 
 def _swap_momenta(solution):
@@ -499,6 +500,16 @@ class TestRealizeBilliard:
         assert _realize_billiard(square(), cross(), side) == (
             None, None, None,
             "(0, 3): multiplier momenta failed verification; "
+            "(1, 2): multiplier momenta failed verification")
+
+    def test_collapsing_tie_is_named_with_the_loop_message(self):
+        side = self.side()
+        first, second = side.tied
+        first = dataclasses.replace(first, points=np.zeros_like(first.points))
+        side = dataclasses.replace(side, tied=(first, _swap_momenta(second)))
+        assert _realize_billiard(square(), cross(), side) == (
+            None, None, None,
+            "(0, 3): curve collapses to a point; "
             "(1, 2): multiplier momenta failed verification")
 
     def test_verified_curve_of_the_wrong_length(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from ehzcap import jsonio
 from ehzcap.bodies import named_body
 from ehzcap.cli import main
 from ehzcap.geometry import hausdorff_distance
+
+BODIES = Path(__file__).resolve().parents[1] / "bodies"
 
 
 @pytest.fixture
@@ -148,6 +151,22 @@ class TestFitCheck:
 
 
 class TestVerifyAndDual:
+    def test_realized_billiard_round_trips_through_strong_verify(
+            self, capsys, work):
+        _, put = work
+        table = str(BODIES / "square.json")
+        geometry = str(BODIES / "triangle.json")
+        code, out, _ = run(capsys, ["capacity", "--K", table,
+                                    "--T", geometry])
+        assert code == 0
+        report = json.loads(out)
+        q = put("q.json", {"points": report["billiard_curve"]["points"]})
+        p = put("p.json", {"points": report["dual_curve"]})
+        code, out, _ = run(capsys, ["verify", "--strong", "--K", table,
+                                    "--T", geometry, "--q", q, "--p", p])
+        assert code == 0
+        assert json.loads(out)["verified"] is True
+
     def test_strong_pass(self, capsys, work, square_file):
         _, put = work
         q = put("q.json", {"points": [[-1.0, 0.0], [1.0, 0.0]]})

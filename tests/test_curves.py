@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 import ehzcap.geometry
 from ehzcap.curves import (
     ClosedPolygonalCurve,
+    _canonical_rows,
+    _on_segment,
     canonicalize,
     discrete_action,
     minkowski_length,
@@ -18,7 +20,7 @@ from ehzcap.errors import (
     NoValidSubselectionError,
     OriginNotInteriorError,
 )
-from ehzcap.geometry import ConvexPolytope, affine_image
+from ehzcap.geometry import GEOM_TOL, ConvexPolytope, affine_image
 from ehzcap.lp import LpSolution
 
 
@@ -273,3 +275,162 @@ class TestReduceVertexCount:
         assert translation_margin(square(), out).pinned
         assert (minkowski_length(square(), out)
                 <= minkowski_length(square(), grown) + 1e-8)
+
+
+# Reference copies of the three degeneracy loops that ``_first_degeneracy``
+# and ``_canonical_rows`` replace: the curve constructor's checks,
+# ``canonicalize`` and the momentum-carrying merge of the realized billiard.
+
+
+def reference_constructor_check(pts):
+    """The constructor's verdict: None, or the message it raises."""
+    m = pts.shape[0]
+    deltas = np.roll(pts, -1, axis=0) - pts
+    if np.any(np.linalg.norm(deltas, axis=1) <= GEOM_TOL):
+        return "consecutive vertices coincide"
+    if m > 2:
+        for j in range(m):
+            if _on_segment(pts[j], pts[j - 1], pts[(j + 1) % m]):
+                return f"vertex {j} lies on the segment of its neighbours"
+    return None
+
+
+def reference_canonicalize(points):
+    """The kept points, or None where the curve collapses to a point."""
+    pts = [np.asarray(p, dtype=float) for p in np.atleast_2d(
+        np.asarray(points, dtype=float))]
+    changed = True
+    while changed:
+        changed = False
+        m = len(pts)
+        if m < 2:
+            break
+        for j in range(m):
+            if np.linalg.norm(pts[(j + 1) % m] - pts[j]) <= GEOM_TOL:
+                del pts[(j + 1) % m]
+                changed = True
+                break
+        if changed:
+            continue
+        if m <= 2:
+            break
+        for j in range(m):
+            if _on_segment(pts[j], pts[j - 1], pts[(j + 1) % m]):
+                del pts[j]
+                changed = True
+                break
+    if len(pts) < 2:
+        return None
+    return np.array(pts)
+
+
+def reference_merge(points, momenta):
+    pts = [p.copy() for p in points]
+    mom = [p.copy() for p in momenta]
+    changed = True
+    while changed:
+        changed = False
+        m = len(pts)
+        if m < 2:
+            return None
+        for j in range(m):
+            later = (j + 1) % m
+            if np.linalg.norm(pts[later] - pts[j]) <= GEOM_TOL:
+                mom[j] = mom[later]
+                del pts[later], mom[later]
+                changed = True
+                break
+        if changed:
+            continue
+        if m <= 2:
+            break
+        for j in range(m):
+            if not _on_segment(pts[j], pts[j - 1], pts[(j + 1) % m]):
+                continue
+            if np.linalg.norm(mom[j] - mom[j - 1]) > 1e-8:
+                return None
+            del pts[j], mom[j]
+            changed = True
+            break
+    if len(pts) < 2:
+        return None
+    return np.array(pts), np.array(mom)
+
+
+@st.composite
+def degenerate_point_lists(draw):
+    """Small-grid points in 2-D or 3-D with injected repeats (exact or off by
+    1e-12), midpoints of neighbours and a wrap-around copy of the first
+    point; each momentum row is random or repeats its predecessor."""
+    dim = draw(st.sampled_from((2, 3)))
+    coord = st.integers(-3, 3).map(float)
+    base = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                         min_size=1, max_size=6))
+    pts = []
+    for point in base:
+        point = np.array(point)
+        inject = draw(st.sampled_from(("none", "none", "repeat", "nudge",
+                                       "midpoint")))
+        if pts and inject == "repeat":
+            pts.append(pts[-1].copy())
+        elif pts and inject == "nudge":
+            pts.append(pts[-1] + 1e-12)
+        elif pts and inject == "midpoint":
+            pts.append(0.5 * (pts[-1] + point))
+        pts.append(point)
+    if draw(st.booleans()):
+        pts.append(pts[0].copy())
+    points = np.array(pts)
+    momenta = []
+    for _ in range(len(points)):
+        if momenta and draw(st.booleans()):
+            momenta.append(momenta[-1].copy())
+        else:
+            momenta.append(np.array(draw(st.lists(
+                coord, min_size=dim, max_size=dim))))
+    return points, np.array(momenta)
+
+
+class TestOneDegeneracyLoop:
+    """The one scan and drop loop give the parent loops' results."""
+
+    @given(degenerate_point_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_kept_rows_match_the_reference_canonicalize(self, case):
+        points, _ = case
+        expected = reference_canonicalize(points)
+        if expected is None:
+            with pytest.raises(CurveCollapseError,
+                               match="curve collapses to a point"):
+                _canonical_rows(points)
+            return
+        rows, _ = _canonical_rows(points)
+        np.testing.assert_array_equal(points[rows], expected)
+        np.testing.assert_array_equal(canonicalize(points).points, expected)
+
+    @given(degenerate_point_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_carried_momenta_match_the_reference_merge(self, case):
+        points, momenta = case
+        expected = reference_merge(points, momenta)
+        if expected is None:
+            with pytest.raises(CurveCollapseError):
+                _canonical_rows(points, momenta)
+            return
+        rows, carry = _canonical_rows(points, momenta)
+        np.testing.assert_array_equal(points[rows], expected[0])
+        np.testing.assert_array_equal(momenta[carry], expected[1])
+
+    @given(degenerate_point_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_constructor_verdict_matches_the_reference(self, case):
+        points, _ = case
+        if len(points) < 2:
+            return
+        expected = reference_constructor_check(points)
+        if expected is None:
+            ClosedPolygonalCurve(points)
+            return
+        with pytest.raises(CurveCollapseError) as info:
+            ClosedPolygonalCurve(points)
+        assert str(info.value) == expected

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ehzcap.geometry
+from ehzcap.bodies import random_polygon
 from ehzcap.errors import (
     DimensionMismatchError,
     InvalidBodyError,
@@ -100,6 +103,22 @@ class TestConstruction:
     def test_unsupported_dimension_rejected(self):
         with pytest.raises(InvalidBodyError):
             ConvexPolytope.from_vertices([[0], [1]])
+
+    @pytest.mark.parametrize("build", [
+        lambda: ConvexPolytope.from_vertices(
+            [[float(c) for c in f"{i:05b}"] for i in range(32)]),
+        lambda: ConvexPolytope.from_halfspaces(
+            np.vstack([np.eye(5), -np.eye(5)]), np.ones(10)),
+    ], ids=["five-cube-corners", "five-box-halfspaces"])
+    def test_fifth_dimension_rejected_before_any_hull(self, monkeypatch,
+                                                      build):
+        def no_hull(pts):
+            raise AssertionError("hull computed before the dimension check")
+
+        monkeypatch.setattr(ehzcap.geometry, "_facets_from_points", no_hull)
+        with pytest.raises(InvalidBodyError, match=re.escape(
+                "dimension 5 unsupported (must be between 2 and 4)")):
+            build()
 
     def test_mismatched_representations_rejected(self):
         s = square()
@@ -332,6 +351,22 @@ class TestAffineImage:
     def test_zero_scale_rejected(self):
         with pytest.raises(ValueError):
             affine_image(square(), 0.0)
+
+    @pytest.mark.parametrize("scale", [1e7, 1e8, 1e9, 1e10])
+    def test_large_images_keep_their_counts(self, scale):
+        body = random_polygon(6, 0)
+        body = translate(body, -chebyshev_center(body)[0])
+        image = affine_image(body, scale)
+        assert len(image.vertices) == len(body.vertices)
+        assert image.num_facets == body.num_facets
+
+    @pytest.mark.parametrize("scale, excess", [(1.0, 2e-9), (1e8, 1.0)])
+    def test_margin_still_rejects_a_violating_vertex(self, scale, excess):
+        body = affine_image(square(), scale)
+        with pytest.raises(InvalidBodyError,
+                           match="a vertex violates a facet inequality"):
+            ConvexPolytope._image(body.normals, body.offsets - excess,
+                                  body.vertices)
 
     @given(planar_bodies(), st.floats(-3, 3), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)

@@ -381,6 +381,13 @@ def _check_verdict(body, kind, size, rng):
     arrays = mutate(body, kind, size, rng)
     got = verdict(ConvexPolytope.from_representations, *arrays)
     expected = verdict(reference_validate, *arrays)
+    a, b, v = arrays
+    if (got is None and expected == "a vertex violates a facet inequality"
+            and np.max(v @ a.T - b) <= REF_GEOM_TOL * max(
+                1.0, np.max(np.linalg.norm(v, axis=1)))):
+        # The kernel's margin test scales with the largest vertex norm
+        # beyond 1; the reference's is absolute.  Only this band may differ.
+        return got, expected
     if kind in STRUCTURAL or kind == "repeat" or size > 1e-8:
         assert (got is None) == (expected is None), (kind, size, got, expected)
     elif got is None:
