@@ -29,8 +29,12 @@ bodies.  The bounce laws are the KKT conditions of the assignment program,
 so the trajectory's momenta are that program's own multipliers and
 realization solves no further LP.  The trajectory is cleaned of
 degenerate points by the loop that makes the minimizer canonical, so the
-two curves of one solve come from one decision.  A brute-force grid oracle provides an
-independent upper-bound search for tests.
+two curves of one solve come from one decision.  Within one call, a side
+whose two bodies repeat the bytes of a side already solved is not solved
+again: a self-pair K x K solves one side, and in the identity report the
+negation of a centrally symmetric body often has the body's own arrays.
+A brute-force grid oracle provides an independent upper-bound search for
+tests.
 """
 
 from __future__ import annotations
@@ -398,6 +402,29 @@ def _solve_side(table: ConvexPolytope, geometry: ConvexPolytope) -> _SideSolve:
                       length_shift=shift)
 
 
+def _body_key(body: ConvexPolytope) -> tuple:
+    """Everything of a body that :func:`_solve_side` reads, as shapes and
+    bytes: equal keys give bit-identical solves, and bodies that are equal
+    in value but not in bytes (``-0.0`` against ``0.0``) stay apart."""
+    return (body.normals.shape, body.vertices.shape, body.normals.tobytes(),
+            body.offsets.tobytes(), body.vertices.tobytes())
+
+
+def _solve_sides(pairs):
+    """Yield :func:`_solve_side` of each (table, geometry) pair, in order.
+
+    A pair whose bodies repeat the bytes of an earlier pair's reuses that
+    solve.  Solves are bitwise deterministic, so the reuse is exact.  The
+    memo lives as long as the generator, which is one public call.
+    """
+    memo = {}
+    for table, geometry in pairs:
+        key = (_body_key(table), _body_key(geometry))
+        if key not in memo:
+            memo[key] = _solve_side(table, geometry)
+        yield memo[key]
+
+
 def _realize_billiard(table: ConvexPolytope, geometry: ConvexPolytope,
                       side: _SideSolve):
     """Find a strong trajectory at the side's optimal value, verified once.
@@ -442,12 +469,12 @@ def ehz_capacity(table: ConvexPolytope, geometry: ConvexPolytope) -> CapacityRes
     numbers are reported in ``quantities``; they agree within 1e-6 relative
     on valid inputs, and the returned value is the primary enumeration
     minimum.  A failed minimizer check names the primary side's winning
-    assignment.
+    assignment.  When the two bodies are byte-identical, the swapped side
+    is the primary one and is solved once.
     """
     if table.dim != geometry.dim:
         raise DimensionMismatchError("bodies live in different dimensions")
-    primary = _solve_side(table, geometry)
-    swapped = _solve_side(geometry, table)
+    primary, swapped = _solve_sides([(table, geometry), (geometry, table)])
 
     winner = primary.tied[0]
     label = f"assignment {winner.assignment.indices}"
@@ -610,7 +637,12 @@ def capacity_identities(table: ConvexPolytope,
     """Capacity of (K,T), (T,K), (-K,T), (K,-T) and (-K,-T).
 
     The five numbers agree for valid inputs.  Each variant runs only the
-    primary enumeration: the values are what the identity is about.
+    primary enumeration: the values are what the identity is about.  A
+    variant whose two bodies are byte-identical to an earlier variant's
+    reuses that solve: when negating the geometry body gives the same
+    arrays, as for the square, the variants that negate it repeat two
+    others.  An ``LpNumericalError`` is raised again prefixed with the
+    variant that solved the side, as in ``"base: assignment program ..."``.
     """
     neg_table, neg_geometry = negate(table), negate(geometry)
     variants = {
@@ -620,6 +652,11 @@ def capacity_identities(table: ConvexPolytope,
         "negated_geometry": (table, neg_geometry),
         "negated_both": (neg_table, neg_geometry),
     }
-    values = {name: _solve_side(k, t).value
-              for name, (k, t) in variants.items()}
+    values = {}
+    sides = _solve_sides(variants.values())
+    for name in variants:
+        try:
+            values[name] = next(sides).value
+        except LpNumericalError as exc:
+            raise LpNumericalError(f"{name}: {exc}") from exc
     return IdentityReport(values=values)

@@ -176,9 +176,10 @@ class _StandardForm:
         # Normalize rhs >= 0, remembering flips for dual signs.
         self.row_sign = np.ones(m)
         neg = bvec < 0
-        amat[neg] *= -1.0
-        bvec[neg] *= -1.0
-        self.row_sign[neg] = -1.0
+        if neg.any():
+            amat[neg] *= -1.0
+            bvec[neg] *= -1.0
+            self.row_sign[neg] = -1.0
 
         self.amat = amat
         self.bvec = bvec

@@ -46,7 +46,7 @@ from ehzcap.geometry import (
     negate,
     translate,
 )
-from ehzcap.lp import LpSolution
+from ehzcap.lp import LpSolution, solve_lp
 
 
 def square():
@@ -745,6 +745,107 @@ class TestIdentityReport:
         report = capacity_identities(triangle(), square())
         assert len(calls) == 2
         assert report.consistent
+
+    def test_error_names_the_variant(self, monkeypatch):
+        # (-1/sqrt 2, -1/sqrt 2) is a normal of the negated triangle only,
+        # and every assignment of a triangle uses all three facets.
+        normals = negate(triangle()).normals
+        diagonal = normals[np.argmin(normals.sum(axis=1))]
+
+        def unbounded_on_negated_table(lp_):
+            m = lp_.a_eq.shape[0]
+            blocks = lp_.a_eq[:, :2 * m].reshape(m, m, 2)
+            if np.all(blocks == diagonal, axis=2).any():
+                return LpSolution(status="unbounded")
+            return solve_lp(lp_)
+
+        monkeypatch.setattr(ehzcap.capacity, "solve_lp",
+                            unbounded_on_negated_table)
+        with pytest.raises(LpNumericalError, match=r"^negated_table: "
+                           r"assignment program \(\d, \d, \d\) ended with "
+                           "status unbounded"):
+            capacity_identities(triangle(), square())
+
+
+def _reference_identity_values(table, geometry):
+    """The identity report's values with every variant solved anew, the
+    loop that ran before repeated sides were reused."""
+    neg_table, neg_geometry = negate(table), negate(geometry)
+    variants = {
+        "base": (table, geometry),
+        "swapped": (geometry, table),
+        "negated_table": (neg_table, geometry),
+        "negated_geometry": (table, neg_geometry),
+        "negated_both": (neg_table, neg_geometry),
+    }
+    return {name: _solve_side(k, t).value for name, (k, t) in variants.items()}
+
+
+@pytest.fixture
+def side_solves(monkeypatch):
+    """The (table, geometry) pairs ``_solve_side`` is called with."""
+    calls = []
+
+    def counting_solve_side(table, geometry):
+        calls.append((table, geometry))
+        return _solve_side(table, geometry)
+
+    monkeypatch.setattr(ehzcap.capacity, "_solve_side", counting_solve_side)
+    return calls
+
+
+class TestRepeatedSides:
+    """A side whose bodies repeat the bytes of a side solved earlier in the
+    same call is not solved again."""
+
+    def test_identity_report_solves_three_sides(self, side_solves):
+        # -square has the square's arrays, so the variants negating the
+        # geometry repeat base and negated_table.
+        report = capacity_identities(triangle(), square())
+        assert len(side_solves) == 3
+        assert report.values == _reference_identity_values(triangle(),
+                                                           square())
+
+    def test_self_pair_solves_one_side(self, side_solves):
+        # Two square() calls build two objects: the key is bytes, not
+        # identity.
+        result = ehz_capacity(square(), square())
+        assert len(side_solves) == 1
+        assert result.quantities.swapped_pinned_minimum == result.value
+        assert result.quantities.consistent
+
+    @given(centered_polygons(max_pts=5),
+           st.one_of(centered_polygons(max_pts=5), st.builds(square)),
+           st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_values_bit_equal_to_solving_every_variant(self, polygon,
+                                                       partner, swap):
+        table, geometry = (partner, polygon) if swap else (polygon, partner)
+        assert (capacity_identities(table, geometry).values
+                == _reference_identity_values(table, geometry))
+
+    def test_equal_values_in_other_bytes_are_solved_again(self, side_solves):
+        body = triangle()
+        vertices = body.vertices.copy()
+        vertices[tuple(np.argwhere(vertices == 0.0)[0])] = -0.0
+        zeroed = ConvexPolytope._image(body.normals, body.offsets, vertices)
+        assert np.array_equal(zeroed.vertices, body.vertices)
+        assert zeroed.vertices.tobytes() != body.vertices.tobytes()
+        ehz_capacity(zeroed, body)
+        assert len(side_solves) == 2
+
+    def test_raising_first_variant_stops_the_report(self, monkeypatch,
+                                                    side_solves):
+        def fail(lp_):
+            raise LpNumericalError("phase 1 reported unbounded")
+
+        monkeypatch.setattr(ehzcap.capacity, "solve_lp", fail)
+        with pytest.raises(LpNumericalError) as parent:
+            _reference_identity_values(triangle(), square())
+        with pytest.raises(LpNumericalError) as info:
+            capacity_identities(triangle(), square())
+        assert str(info.value) == f"base: {parent.value}"
+        assert len(side_solves) == 1
 
 
 class TestNegatedBodies:
