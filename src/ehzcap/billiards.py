@@ -134,13 +134,17 @@ def extract_dual(table: ConvexPolytope, geometry: ConvexPolytope,
                  q: ClosedPolygonalCurve, tol: float = CONE_TOL) -> np.ndarray:
     """Recover a momentum sequence turning q into a verified strong pair.
 
-    Momenta are constrained jointly: p_j must lie on the face of the
-    geometry body exposed by the segment direction (the support-duality
-    reading of the first bounce law) and consecutive kicks must combine
-    active table normals at the bounce point with nonnegative weights.  The
-    face of valid momentum sequences is then narrowed to a single point by
-    minimizing the coordinates of p in lexicographic order, which makes the
-    output deterministic.  Raises when no momentum sequence exists.
+    One feasibility program constrains the momenta jointly: p_j must lie on
+    the face of the geometry body exposed by the segment direction (the
+    support-duality reading of the first bounce law) and consecutive kicks
+    must combine active table normals at the bounce point with nonnegative
+    weights.  It is solved once with a zero objective, and the answer is
+    the vertex of that program's feasible set where the simplex stops: some
+    valid momentum sequence, not a canonical point of the face.  The LP data
+    depend only on the inputs, so the output is bitwise deterministic on one
+    platform.  Raises ``NotABilliardError`` when no momentum sequence
+    exists, and ``LpNumericalError``, prefixed "momentum program: ", when
+    the solver fails.
     """
     n = table.dim
     m = q.num_points
@@ -183,34 +187,19 @@ def extract_dual(table: ConvexPolytope, geometry: ConvexPolytope,
     b_eq = np.concatenate([np.atleast_1d(r) for r in rhs_eq])
 
     nonneg = [False] * (m * n) + [True] * total_eta
-    pinned_rows: list[np.ndarray] = []
-    pinned_vals: list[float] = []
-    x = None
-    for coord in range(m * n):
-        c = np.zeros(nvars)
-        c[coord] = 1.0
-        eq = a_eq if not pinned_rows else np.vstack([a_eq] + pinned_rows)
-        rhs = b_eq if not pinned_vals else np.concatenate(
-            [b_eq, np.array(pinned_vals)])
-        sol = solve_lp(make_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=eq, b_eq=rhs,
-                               nonneg=nonneg))
-        if sol.status == "infeasible":
-            if coord == 0:
-                raise NotABilliardError(
-                    "no momentum sequence satisfies the bounce laws for this "
-                    "curve (joint feasibility program is infeasible)")
-            raise LpNumericalError(
-                "lexicographic narrowing became infeasible; momentum face is "
-                "numerically degenerate")
-        if sol.status != "optimal":
-            raise LpNumericalError(
-                f"momentum program ended with status {sol.status}")
-        row = np.zeros(nvars)
-        row[coord] = 1.0
-        pinned_rows.append(row[None, :])
-        pinned_vals.append(float(sol.x[coord]))
-        x = sol.x
-    return x[:m * n].reshape(m, n).copy()
+    try:
+        sol = solve_lp(make_lp(np.zeros(nvars), a_ub=a_ub, b_ub=b_ub,
+                               a_eq=a_eq, b_eq=b_eq, nonneg=nonneg))
+    except LpNumericalError as exc:
+        raise LpNumericalError(f"momentum program: {exc}") from exc
+    if sol.status == "infeasible":
+        raise NotABilliardError(
+            "no momentum sequence satisfies the bounce laws for this curve "
+            "(joint feasibility program is infeasible)")
+    if sol.status != "optimal":
+        raise LpNumericalError(
+            f"momentum program: ended with status {sol.status}")
+    return sol.x[:m * n].reshape(m, n).copy()
 
 
 @dataclass(frozen=True, eq=False)

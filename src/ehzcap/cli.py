@@ -215,7 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_body_pair(dual)
     dual.add_argument("--q", required=True, metavar="PATH",
                       help="position curve JSON")
-    dual.add_argument("--tol", type=float, help="verification tolerance")
+    dual.add_argument("--tol", type=float,
+                      help="tolerance for the boundary test of the curve "
+                      "and for which table facets are active at a bounce")
     _add_out(dual)
     dual.set_defaults(handler=_cmd_dual)
 

@@ -19,6 +19,7 @@ from ehzcap.curves import (
 )
 from ehzcap.errors import (
     CurveCollapseError,
+    LpNumericalError,
     NotABilliardError,
     PointOffBoundaryError,
 )
@@ -28,6 +29,8 @@ from ehzcap.geometry import (
     normal_cone,
     support_function,
 )
+from ehzcap.lp import solve_lp
+from test_capacity import simplex_4d
 
 
 def square():
@@ -154,10 +157,16 @@ class TestVerifyStrong:
         assert ehz_capacity(square(), cross()).realized
 
 
+def realized(table, geometry):
+    return table, geometry, ehz_capacity(table, geometry).billiard_curve
+
+
 class TestExtractDual:
     def test_horizontal_width_curve(self):
+        # the momenta lie on the exposed faces x = 1 and x = -1; where on
+        # those edges is left to the solver
         p = extract_dual(square(), square(), width_curve())
-        assert np.allclose(p, [[1, -1], [-1, -1]], atol=1e-9)
+        assert np.allclose(p[:, 0], [1, -1], atol=1e-9)
         assert verify_strong(square(), square(), width_curve(), p).verified
 
     def test_vertical_width_curve(self):
@@ -186,6 +195,39 @@ class TestExtractDual:
         first = extract_dual(square(), square(), width_curve())
         second = extract_dual(square(), square(), width_curve())
         assert first.tobytes() == second.tobytes()
+
+    def test_solves_one_lp(self, monkeypatch):
+        calls = []
+
+        def counting(program):
+            calls.append(program)
+            return solve_lp(program)
+
+        monkeypatch.setattr(ehzcap.billiards, "solve_lp", counting)
+        for table, geometry, q in [
+            (square(), square(), width_curve()),
+            (cross(), square(), width_curve()),
+            realized(simplex_4d(), simplex_4d()),
+        ]:
+            calls.clear()
+            extract_dual(table, geometry, q)
+            assert len(calls) == 1
+        calls.clear()
+        with pytest.raises(NotABilliardError):
+            extract_dual(square(), square(), ClosedPolygonalCurve(
+                np.array([[-0.5, -1.0], [0.5, -1.0]])))
+        assert len(calls) == 1
+
+    def test_solver_failure_names_the_momentum_program(self, monkeypatch):
+        def failing(program):
+            raise LpNumericalError("terminal basis is singular")
+
+        monkeypatch.setattr(ehzcap.billiards, "solve_lp", failing)
+        with pytest.raises(LpNumericalError) as info:
+            extract_dual(square(), square(), width_curve())
+        assert type(info.value) is LpNumericalError
+        assert str(info.value) == (
+            "momentum program: terminal basis is singular")
 
 
 class TestVerifyWeak:
@@ -219,6 +261,7 @@ class TestVerifyWeak:
 
 
 class TestPairInvariants:
+    @pytest.fixture(scope="class")
     def cases(self):
         sq = square()
         out = []
@@ -227,40 +270,44 @@ class TestPairInvariants:
             (sq, sq, ClosedPolygonalCurve(np.array([[0.0, -1.0], [0.0, 1.0]]))),
             (cross(), sq, width_curve()),
             (sq, cross(), width_curve()),
+            # billiards realized by the solver, in 4-D and on random polygons
+            realized(simplex_4d(), simplex_4d()),
+            realized(random_polygon(3, 54), random_polygon(6, 1054)),
+            realized(random_polygon(4, 121), random_polygon(5, 1121)),
         ]:
             p = extract_dual(table, geometry, q)
             out.append((table, geometry, q, p))
         return out
 
-    def test_round_trip_verifies(self):
-        for table, geometry, q, p in self.cases():
+    def test_round_trip_verifies(self, cases):
+        for table, geometry, q, p in cases:
             assert verify_strong(table, geometry, q, p).verified
 
-    def test_strong_implies_weak(self):
-        for table, geometry, q, p in self.cases():
+    def test_strong_implies_weak(self, cases):
+        for table, geometry, q, p in cases:
             assert verify_weak(table, geometry, q).verified
 
-    def test_action_matches_length(self):
-        for table, geometry, q, p in self.cases():
+    def test_action_matches_length(self, cases):
+        for table, geometry, q, p in cases:
             action = discrete_action(q, p)
             length = minkowski_length(geometry, q)
             assert abs(action - length) <= 1e-8 * (1 + abs(length))
 
-    def test_length_duality_against_negated_table(self):
-        for table, geometry, q, p in self.cases():
+    def test_length_duality_against_negated_table(self, cases):
+        for table, geometry, q, p in cases:
             length_q = minkowski_length(geometry, q)
             length_p = raw_length(negate(table), p)
             assert abs(length_q - length_p) <= 1e-8 * (1 + abs(length_q))
 
-    def test_both_trajectories_are_pinned(self):
-        for table, geometry, q, p in self.cases():
+    def test_both_trajectories_are_pinned(self, cases):
+        for table, geometry, q, p in cases:
             assert translation_margin(table, q).pinned
             assert translation_margin(geometry, canonicalize(p)).pinned
 
-    def test_swapped_factor_image_is_strong(self):
+    def test_swapped_factor_image_is_strong(self, cases):
         # from a verified pair, momenta become the curve on the old geometry
         # body and negated shifted bounce points become the momenta
-        for table, geometry, q, p in self.cases():
+        for table, geometry, q, p in cases:
             image_q = canonicalize(p)
             if image_q.num_points != q.num_points:
                 continue

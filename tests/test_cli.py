@@ -210,7 +210,12 @@ class TestVerifyAndDual:
                                     "--T", square_file, "--q", q])
         assert code == 0
         points = json.loads(out)["points"]
-        assert points == [[1.0, -1.0], [-1.0, -1.0]]
+        assert [x for x, _ in points] == [1.0, -1.0]
+        p = put("p.json", {"points": points})
+        code, out, _ = run(capsys, ["verify", "--strong", "--K", square_file,
+                                    "--T", square_file, "--q", q, "--p", p])
+        assert code == 0
+        assert json.loads(out)["verified"] is True
 
     def test_dual_no_solution_exit_1(self, capsys, work, square_file):
         _, put = work
