@@ -122,9 +122,15 @@ def random_polygon(k: int, seed: int) -> ConvexPolytope:
 def perturbed_body(base: ConvexPolytope, delta: float, seed: int = 0) -> ConvexPolytope:
     """Copy of the base with each vertex moved by at most delta.
 
-    The output stays within Hausdorff distance delta of the base (offsets
-    are clipped to the Euclidean ball), which is well inside the contract
-    bound delta * (1 + diameter).  Zero delta returns the base itself.
+    The output lies within Hausdorff distance delta of the base, inside the
+    contract bound delta * (1 + diameter).  When every moved vertex stays a
+    vertex this holds by construction: each offset o_i is clipped to norm
+    delta, so a point sum l_i (v_i + o_i) of the new hull lies within
+    sum l_i |o_i| <= delta of the point sum l_i v_i of the base, and the
+    converse holds the same way.  Only a draw that loses a vertex has its
+    distance computed: at a delta near the kernel's tolerances (the cube at
+    1e-8), ``from_vertices`` can drop an extreme point and build a body
+    that misses a corner.  Zero delta returns the base itself.
     """
     if delta < 0:
         raise InvalidBodyError("perturbation size must be nonnegative")
@@ -141,7 +147,8 @@ def perturbed_body(base: ConvexPolytope, delta: float, seed: int = 0) -> ConvexP
             body = ConvexPolytope.from_vertices(base.vertices + offsets)
         except InvalidBodyError:
             continue
-        if hausdorff_distance(body, base) <= delta * (1.0 + base.diameter):
+        if (len(body.vertices) == len(base.vertices)
+                or hausdorff_distance(body, base) <= delta * (1.0 + base.diameter)):
             return body
     raise InvalidBodyError(
         f"perturbation of size {delta} kept degenerating after "

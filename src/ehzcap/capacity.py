@@ -67,6 +67,7 @@ from .geometry import (
     GEOM_TOL,
     ConvexPolytope,
     _RANK_TOL,
+    _subset_chunks,
     chebyshev_center,
     negate,
     translate,
@@ -114,26 +115,30 @@ def _margin_dual_vertices(table: ConvexPolytope) -> np.ndarray:
     A vertex is the basic solution of n+1 facets whose columns of
     [A^T; 1^T] are independent.  That matrix has rank n+1 for a bounded
     body (a positive l with A^T l = 0 has 1 l > 0), so every candidate
-    basis is square and all of them are tested and solved in one batch.
+    basis is square; the bases are tested and solved in stacked chunks, and
+    only the feasible ones are kept.
     """
     f = table.num_facets
     n = table.dim
     e_mat = np.vstack([table.normals.T, np.ones((1, f))])
     rhs = np.zeros(n + 1)
     rhs[n] = 1.0
-    bases = np.array(list(combinations(range(f), n + 1)))
-    cols = e_mat[:, bases].transpose(1, 0, 2)  # (bases, n+1, n+1)
-    regular = np.linalg.matrix_rank(cols, tol=GEOM_TOL) == n + 1
-    bases, cols = bases[regular], cols[regular]
-    x = np.linalg.solve(cols, np.broadcast_to(rhs[:, None],
-                                              cols.shape[:2] + (1,)))
-    residual = np.abs(cols @ x - rhs[:, None]).max(axis=(1, 2))
-    x = x[..., 0]
-    feasible = (residual <= GEOM_TOL) & (x.min(axis=1) >= -GEOM_TOL)
-    if not np.any(feasible):
+    kept_bases, kept_x = [], []
+    for bases in _subset_chunks(f, n + 1):
+        cols = e_mat[:, bases].transpose(1, 0, 2)  # (bases, n+1, n+1)
+        regular = np.linalg.matrix_rank(cols, tol=GEOM_TOL) == n + 1
+        bases, cols = bases[regular], cols[regular]
+        x = np.linalg.solve(cols, np.broadcast_to(rhs[:, None],
+                                                  cols.shape[:2] + (1,)))
+        residual = np.abs(cols @ x - rhs[:, None]).max(axis=(1, 2))
+        x = x[..., 0]
+        feasible = (residual <= GEOM_TOL) & (x.min(axis=1) >= -GEOM_TOL)
+        kept_bases.append(bases[feasible])
+        kept_x.append(x[feasible])
+    bases, x = np.concatenate(kept_bases), np.concatenate(kept_x)
+    if not len(bases):
         raise InvalidBodyError("facet normals do not positively span; the "
                                "table body cannot be bounded")
-    bases, x = bases[feasible], x[feasible]
     rows = np.zeros((len(bases), f))
     rows[np.arange(len(bases))[:, None], bases] = np.clip(x, 0.0, None)
     rows = rows[np.lexsort(rows.T[::-1])]

@@ -7,7 +7,12 @@ n-subset incidence enumeration, which is exact at the dimensions this
 package targets (2 <= n <= 4); :meth:`ConvexPolytope.from_halfspaces`
 rejects halfspaces whose normals leave the origin outside the interior of
 their hull, the unbounded regions, then enumerates the intersection points
-of its facets and takes the vertex route.  A body is validated once.  Every
+of its facets and takes the vertex route.  Both enumerations run as stacked
+LAPACK calls (``svd``, ``det``, ``solve``) over fixed-size chunks of index
+subsets in ``combinations`` order; a vectorized test with a slightly wider
+tolerance narrows each chunk to candidates, and every candidate then gets
+the exact scalar test, in subset order, so the arrays are those of a
+subset-by-subset loop.  A body is validated once.  Every
 body built from outside input gets the structural checks: margins, facet
 supports, vertex extremality and distinct vertices.  Facets that come from
 outside, given beside the vertices, must also be reproduced by the hull of
@@ -16,14 +21,16 @@ so they are not compared with it again.  Images of a validated body
 (:func:`affine_image`, :func:`translate`, :func:`negate`, :func:`polar`)
 map its arrays exactly or up to rounding, so they keep only the shape,
 finiteness, unit-normal and margin checks.  All predicates resolve at
-``GEOM_TOL``.
+``GEOM_TOL``; the margin and incidence tests, and the offset matches of
+facets, scale it by the largest point norm beyond 1, because rounding grows
+with the coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -41,6 +48,12 @@ MEMBERSHIP_TOL = 1e-8
 _RANK_TOL = 1e-9  # rank, determinant and singular-value cut-off
 _SAME_POINT_TOL = 1e-8  # max-abs distance at which two rows are one point
 _ZERO_NORM_TOL = 1e-12  # a normal or vertex shorter than this is zero
+# Slack added to a vectorized prefilter's tolerance, times (1 + scale): it
+# covers the rounding by which a stacked product can differ from the scalar
+# one of the exact test, so the prefilter only narrows the candidates.
+_PREFILTER_SLACK = 1e-12
+_SUBSET_CHUNK = 4096  # index subsets per stacked LAPACK call
+_ROW_BLOCK = 256  # rows per pairwise-distance block of _dedupe_rows
 # Wolfe's min-norm-point solver: the relative duality gap that stops it,
 # and the weight below which an atom leaves the support.
 _MNP_GAP_TOL = 1e-14
@@ -92,10 +105,7 @@ class ConvexPolytope:
             raise InvalidBodyError("facet normals are not unit vectors")
         if v.shape[0] < n + 1:
             raise InvalidBodyError("too few vertices for the ambient dimension")
-        # Rounding grows with the coordinates, so the margin scales with the
-        # largest vertex norm beyond 1.
-        radius = float(np.max(np.linalg.norm(v, axis=1)))
-        if float(np.max(v @ a.T - b)) > GEOM_TOL * max(1.0, radius):
+        if float(np.max(v @ a.T - b)) > GEOM_TOL * _scale(v):
             raise InvalidBodyError("a vertex violates a facet inequality")
         for arr in (a, b, v):
             arr.flags.writeable = False
@@ -114,7 +124,8 @@ class ConvexPolytope:
         if np.linalg.matrix_rank(pts - pts[0], tol=_RANK_TOL) < n:
             raise InvalidBodyError("points do not span the ambient dimension")
         normals, offsets = _facets_from_points(pts)
-        active = np.array([normals @ p - offsets >= -GEOM_TOL for p in pts])
+        tol = GEOM_TOL * _scale(pts)
+        active = np.array([normals @ p - offsets >= -tol for p in pts])
         # The facets are the hull of these very points, so comparing them
         # with a hull again would prove nothing; the structure still decides.
         body = cls._image(normals, offsets, pts[_extreme_mask(normals, active)])
@@ -227,7 +238,8 @@ class ConvexPolytope:
         # With the margins and the structure, this pins both
         # representations to the same bounded polytope.
         if not _same_facet_sets(self._normals, self._offsets,
-                                *_facets_from_points(self._vertices)):
+                                *_facets_from_points(self._vertices),
+                                scale=_scale(self._vertices)):
             raise InvalidBodyError("facet list does not match the vertex hull")
 
     def _check_structure(self) -> None:
@@ -237,21 +249,23 @@ class ConvexPolytope:
         n = self.dim
         if np.linalg.matrix_rank(v - v[0], tol=_RANK_TOL) < n:
             raise InvalidBodyError("vertex set is not full-dimensional")
-        active = v @ a.T - b >= -GEOM_TOL  # (V, F)
+        active = v @ a.T - b >= -GEOM_TOL * _scale(v)  # (V, F)
         # Facet support: each facet carries at least n vertices spanning it.
-        for i in range(a.shape[0]):
-            sup = v[active[:, i]]
-            if sup.shape[0] < n:
+        # The first facet that fails names the error.
+        few = np.count_nonzero(active, axis=0) < n
+        degenerate = _group_ranks(v, active.T, shift=True) < n - 1
+        failing = few | degenerate
+        if failing.any():
+            i = int(np.argmax(failing))
+            if few[i]:
                 raise InvalidBodyError(f"facet {i} is supported by fewer than "
                                        f"{n} vertices")
-            if np.linalg.matrix_rank(sup - sup[0], tol=_RANK_TOL) < n - 1:
-                raise InvalidBodyError(f"facet {i} support is degenerate")
+            raise InvalidBodyError(f"facet {i} support is degenerate")
         extreme = _extreme_mask(a, active)
         if not extreme.all():
             raise InvalidBodyError(
                 f"vertex {int(np.argmin(extreme))} is not an extreme point")
-        gaps = np.max(np.abs(v[:, None, :] - v[None, :, :]), axis=-1)
-        if np.any(gaps[np.triu_indices(len(v), 1)] <= _SAME_POINT_TOL):
+        if np.any(_gaps(v, v)[np.triu_indices(len(v), 1)] <= _SAME_POINT_TOL):
             raise InvalidBodyError("vertex list repeats a vertex")
 
 
@@ -272,17 +286,71 @@ def _clean_points(pts: np.ndarray) -> np.ndarray:
     return _dedupe_rows(pts, tol=GEOM_TOL)
 
 
+def _scale(points: np.ndarray) -> float:
+    """The largest point norm beyond 1.  Rounding grows with the
+    coordinates, so the margin, incidence and facet-offset tolerances are
+    multiplied by it."""
+    return max(1.0, float(np.max(np.linalg.norm(points, axis=1))))
+
+
+def _subset_chunks(k: int, r: int):
+    """The ``r``-subsets of ``range(k)`` in ``combinations`` order, as index
+    arrays of at most ``_SUBSET_CHUNK`` rows each."""
+    subsets = combinations(range(k), r)
+    while True:
+        chunk = np.fromiter(chain.from_iterable(islice(subsets, _SUBSET_CHUNK)),
+                            dtype=np.intp)
+        if not chunk.size:
+            return
+        yield chunk.reshape(-1, r)
+
+
+def _group_ranks(rows: np.ndarray, members: np.ndarray, shift: bool = False):
+    """Rank of ``rows[members[i]]`` for every row ``i`` of the boolean
+    ``members``, less its first row when ``shift`` (the affine rank).
+
+    Member sets of one size are stacked into one ``matrix_rank`` call; the
+    empty set has rank 0.
+    """
+    counts = np.count_nonzero(members, axis=1)
+    ranks = np.zeros(len(members), dtype=int)
+    # np.bincount, not np.unique: its integer sort maps in ~1.5 MB of code.
+    sizes = np.flatnonzero(np.bincount(counts))
+    for count in sizes[sizes > 0]:
+        sets = np.flatnonzero(counts == count)
+        picked = rows[np.nonzero(members[sets])[1].reshape(len(sets), count)]
+        if shift:
+            picked = picked - picked[:, :1]
+        ranks[sets] = np.linalg.matrix_rank(picked, tol=_RANK_TOL)
+    return ranks
+
+
 def _sort_rows(rows: np.ndarray) -> np.ndarray:
     return rows[np.lexsort(rows.T[::-1])]
 
 
 def _dedupe_rows(rows: np.ndarray, tol: float) -> np.ndarray:
+    """Sorted rows, each kept unless it lies within ``tol`` (max-abs) of an
+    earlier kept row.  Rows are decided a block at a time: first against
+    the rows kept before the block, then among themselves in order."""
     rows = _sort_rows(rows)
-    keep = []
-    for r in rows:
-        if not keep or min(np.max(np.abs(r - k)) for k in keep) > tol:
-            keep.append(r)
-    return np.array(keep)
+    kept = rows[:0]
+    for start in range(0, len(rows), _ROW_BLOCK):
+        block = rows[start:start + _ROW_BLOCK]
+        block = block[~np.any(_gaps(block, kept) <= tol, axis=1)]
+        close = np.tril(_gaps(block, block) <= tol, -1)
+        keep = ~close.any(axis=1)
+        # A row near earlier rows of the block is kept when none of them
+        # is; those are decided first.
+        for i in np.flatnonzero(~keep):
+            keep[i] = not np.any(close[i, :i] & keep[:i])
+        kept = np.vstack([kept, block[keep]])
+    return kept
+
+
+def _gaps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Max-abs distance between every row of ``u`` and every row of ``v``."""
+    return np.max(np.abs(u[:, None, :] - v[None, :, :]), axis=-1)
 
 
 def _dedupe_facets(a: np.ndarray, b: np.ndarray):
@@ -298,45 +366,67 @@ def _sort_facets(a: np.ndarray, b: np.ndarray):
 
 
 def _facets_from_points(pts: np.ndarray):
-    """All supporting hyperplanes through n affinely independent points."""
+    """All supporting hyperplanes through n affinely independent points.
+
+    The ``n``-subsets go through one stacked SVD per chunk.  A vectorized
+    support test, with its tolerance widened by ``_PREFILTER_SLACK``, picks
+    the candidates; each candidate then gets the exact scalar support test,
+    orientation and dedupe, in subset order.
+    """
     k, n = pts.shape
-    found_a: list[np.ndarray] = []
-    found_b: list[float] = []
-    for subset in combinations(range(k), n):
-        base = pts[list(subset)]
-        diffs = base[1:] - base[0]
-        u, s, vt = np.linalg.svd(diffs)
-        if s.size and s.min() < _RANK_TOL * max(1.0, s.max()):
-            continue  # affinely dependent subset
-        normal = vt[-1]
-        b = float(normal @ base[0])
-        proj = pts @ normal
-        if np.max(proj) <= b + GEOM_TOL:
-            pass
-        elif np.min(proj) >= b - GEOM_TOL:
-            normal, b = -normal, -b
-        else:
-            continue
-        if not any(np.max(np.abs(normal - fa)) <= _SAME_POINT_TOL
-                   and abs(b - fb) <= _SAME_POINT_TOL
-                   for fa, fb in zip(found_a, found_b)):
-            found_a.append(normal)
-            found_b.append(b)
-    if not found_a:
+    scale = _scale(pts)
+    tol = GEOM_TOL * scale
+    wide = tol + _PREFILTER_SLACK * (1.0 + scale)
+    found_a = np.empty((0, n))
+    found_b = np.empty(0)
+    for subsets in _subset_chunks(k, n):
+        base = pts[subsets]
+        _, s, vt = np.linalg.svd(base[:, 1:] - base[:, :1])
+        independent = ~(s.min(axis=1) < _RANK_TOL * np.maximum(1.0, s.max(axis=1)))
+        normals, base0 = vt[independent, -1], base[independent, 0]
+        offsets = np.einsum("ij,ij->i", normals, base0)
+        heights = pts @ normals.T
+        candidates = ((heights.max(axis=0) <= offsets + wide)
+                      | (heights.min(axis=0) >= offsets - wide))
+        for normal, point in zip(normals[candidates], base0[candidates]):
+            b = float(normal @ point)
+            proj = pts @ normal
+            if np.max(proj) <= b + tol:
+                pass
+            elif np.min(proj) >= b - tol:
+                normal, b = -normal, -b
+            else:
+                continue
+            if not np.any((np.max(np.abs(normal - found_a), axis=1)
+                           <= _SAME_POINT_TOL)
+                          & (np.abs(b - found_b) <= _SAME_POINT_TOL * scale)):
+                found_a = np.vstack([found_a, normal])
+                found_b = np.append(found_b, b)
+    if not len(found_a):
         raise InvalidBodyError("no supporting facets found")
-    return _sort_facets(np.array(found_a), np.array(found_b))
+    return _sort_facets(found_a, found_b)
 
 
 def _vertices_from_facets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The intersection points of ``n`` facets that satisfy all facets.
+
+    One stacked ``det`` and ``solve`` per chunk of facet subsets; a widened
+    vectorized feasibility test picks the candidates, and each gets the
+    exact test.  ``a`` has unit rows.
+    """
     m, n = a.shape
     pts = []
-    for subset in combinations(range(m), n):
-        sub_a = a[list(subset)]
-        if abs(np.linalg.det(sub_a)) < _RANK_TOL:
-            continue
-        x = np.linalg.solve(sub_a, b[list(subset)])
-        if np.max(a @ x - b) <= GEOM_TOL * max(1.0, float(np.max(np.abs(x)))):
-            pts.append(x)
+    for subsets in _subset_chunks(m, n):
+        sub_a = a[subsets]
+        regular = ~(np.abs(np.linalg.det(sub_a)) < _RANK_TOL)
+        x = np.linalg.solve(sub_a[regular], b[subsets[regular]][..., None])[..., 0]
+        reach = np.max(np.abs(x), axis=1)
+        wide = (GEOM_TOL * np.maximum(1.0, reach)
+                + _PREFILTER_SLACK * (1.0 + reach))
+        for point in x[np.max(x @ a.T - b, axis=1) <= wide]:
+            if np.max(a @ point - b) <= GEOM_TOL * max(
+                    1.0, float(np.max(np.abs(point)))):
+                pts.append(point)
     if not pts:
         raise InvalidBodyError("halfspaces have no vertices")
     return _dedupe_rows(np.array(pts), tol=_SAME_POINT_TOL)
@@ -345,17 +435,16 @@ def _vertices_from_facets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _extreme_mask(a: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Which points are extreme: the facet normals active at each point (one
     row of ``active`` per point) span the space."""
-    n = a.shape[1]
-    return np.array([np.count_nonzero(on) >= n
-                     and np.linalg.matrix_rank(a[on], tol=_RANK_TOL) == n
-                     for on in active], dtype=bool)
+    return _group_ranks(a, active) == a.shape[1]
 
 
-def _same_facet_sets(a1, b1, a2, b2) -> bool:
-    u, v = np.column_stack([a1, b1]), np.column_stack([a2, b2])
-    if u.shape != v.shape:
+def _same_facet_sets(a1, b1, a2, b2, scale: float = 1.0) -> bool:
+    """Whether every facet of each list has a twin in the other: normals
+    within ``_SAME_POINT_TOL``, offsets within it times ``scale``."""
+    if a1.shape != a2.shape:
         return False
-    close = np.max(np.abs(u[:, None, :] - v[None, :, :]), axis=-1) <= _SAME_POINT_TOL
+    close = ((_gaps(a1, a2) <= _SAME_POINT_TOL)
+             & (np.abs(b1[:, None] - b2[None, :]) <= _SAME_POINT_TOL * scale))
     return bool(close.any(axis=1).all() and close.any(axis=0).all())
 
 

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ehzcap.bodies
+import ehzcap.geometry
 from ehzcap.bodies import (
     BodySpec,
     generate_body,
@@ -96,6 +99,35 @@ class TestPerturbedBody:
                 out = perturbed_body(base, 0.05, seed=seed)
                 bound = 0.05 * (1.0 + base.diameter)
                 assert hausdorff_distance(out, base) <= bound
+
+    @given(st.sampled_from(("square", "triangle", "cube", "octahedron",
+                            "polygon")),
+           st.floats(1e-6, 0.1), st.integers(0, 50), st.integers(3, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_bound_holds_by_construction(self, name, delta, seed, k):
+        base = (random_polygon(k, seed) if name == "polygon"
+                else named_body(name))
+        out = perturbed_body(base, delta, seed)
+        assert hausdorff_distance(out, base) <= delta * (1.0 + base.diameter)
+
+    def test_builds_that_keep_every_vertex_skip_the_distance(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Hausdorff distance computed")
+
+        monkeypatch.setattr(ehzcap.bodies, "hausdorff_distance", refuse)
+        monkeypatch.setattr(ehzcap.geometry, "hausdorff_distance", refuse)
+        for name in ("square", "triangle", "cube", "octahedron"):
+            for delta in (1e-2, 1e-4, 1e-6):
+                out = perturbed_body(named_body(name), delta, seed=3)
+                assert len(out.vertices) == len(named_body(name).vertices)
+
+    def test_a_build_that_loses_a_corner_is_rejected(self):
+        # At delta 1e-8 the hull of a perturbed cube can merge the slightly
+        # tilted facets through a corner into one, and drop the corner; such
+        # a body lies about 1.15 from the cube.  Every draw of seed 1 either
+        # degenerates or loses a corner.
+        with pytest.raises(InvalidBodyError, match="kept degenerating"):
+            perturbed_body(named_body("cube"), 1e-8, seed=1)
 
     def test_deterministic(self):
         cube = named_body("cube")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ehzcap.geometry
+from ehzcap import jsonio
 from ehzcap.bodies import random_polygon
 from ehzcap.errors import (
     DimensionMismatchError,
@@ -359,6 +360,29 @@ class TestAffineImage:
         image = affine_image(body, scale)
         assert len(image.vertices) == len(body.vertices)
         assert image.num_facets == body.num_facets
+
+    @pytest.mark.parametrize("scale", [1e7, 1e8, 1e10])
+    def test_large_point_sets_build(self, scale):
+        # The incidence tests scale with the largest point norm beyond 1.
+        body = random_polygon(6, 0)
+        body = translate(body, -chebyshev_center(body)[0])
+        big = ConvexPolytope.from_vertices(scale * body.vertices)
+        assert len(big.vertices) == 6 and big.num_facets == 6
+        big_cube = ConvexPolytope.from_vertices(scale * cube().vertices)
+        assert len(big_cube.vertices) == 8 and big_cube.num_facets == 6
+
+    @pytest.mark.parametrize("scale", [1e7, 1e8, 1e9, 1e10])
+    def test_large_images_rebuild_from_their_arrays(self, scale):
+        body = random_polygon(6, 0)
+        body = translate(body, -chebyshev_center(body)[0])
+        image = affine_image(body, scale)
+        rebuilt = ConvexPolytope.from_representations(
+            image.normals, image.offsets, image.vertices)
+        assert np.array_equal(rebuilt.vertices, image.vertices)
+        back = jsonio.body_from_dict(jsonio.loads(jsonio.dumps(
+            jsonio.body_to_dict(image))))
+        assert len(back.vertices) == 6 and back.num_facets == 6
+        assert np.allclose(back.vertices, image.vertices, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("scale, excess", [(1.0, 2e-9), (1e8, 1.0)])
     def test_margin_still_rejects_a_violating_vertex(self, scale, excess):

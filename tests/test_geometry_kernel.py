@@ -8,7 +8,10 @@ compared the facets of ``from_vertices`` with the hull they came from.  The
 references below copy those pipelines.  The tests pin that the stored
 arrays are byte-identical to them, that accept/reject verdicts agree with
 them, that only facets from outside are compared with a hull, and that
-images enumerate no facet subsets.
+images enumerate no facet subsets.  The kernels now run stacked, in
+chunks of index subsets; the references still loop over one subset at a
+time, so the byte comparisons also pin the stacked kernels, at the default
+chunk size and at tiny ones.
 """
 
 from itertools import combinations
@@ -21,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 import ehzcap.geometry
 from ehzcap import jsonio
 from ehzcap.bodies import perturbed_body, random_polygon
+from ehzcap.capacity import _margin_dual_vertices
 from ehzcap.errors import InvalidBodyError
 from ehzcap.geometry import (
     ConvexPolytope,
@@ -306,6 +310,19 @@ def random_4d_body(count=14, seed=0):
         pts / np.linalg.norm(pts, axis=1)[:, None])
 
 
+def cell_24():
+    """The 24-cell: its facets are 24 regular octahedra."""
+    pts = [np.eye(4)[i] * si + np.eye(4)[j] * sj
+           for i, j in combinations(range(4), 2)
+           for si in (-1.0, 1.0) for sj in (-1.0, 1.0)]
+    return ConvexPolytope.from_vertices(pts)
+
+
+def sphere_points(dim, count, seed):
+    pts = np.random.RandomState(seed).normal(size=(count, dim))
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+
 def square():
     return ConvexPolytope.from_vertices([[1, 1], [1, -1], [-1, 1], [-1, -1]])
 
@@ -377,6 +394,46 @@ def small_bodies(draw):
     return square()
 
 
+def in_scaled_band(a, b, v):
+    """Whether the kernel's scaled tolerances and the reference's absolute
+    ones can decide these arrays differently.
+
+    The kernel's incidence tests, like its margin, scale with the largest
+    vertex norm beyond 1, and so does its offset match against the hull.  A
+    vertex whose margin on a facet lies between the two incidence
+    tolerances is on the facet for the kernel and off it for the reference;
+    so is a hull offset between the two offset tolerances.
+    """
+    scale = max(1.0, np.max(np.linalg.norm(v, axis=1)))
+    margins = v @ a.T - b
+    if np.any((margins < -REF_GEOM_TOL) & (margins >= -REF_GEOM_TOL * scale)):
+        return True
+    try:
+        a2, b2 = _ref_facets_from_points(v)
+    except InvalidBodyError:
+        return False
+    normals_match = np.max(np.abs(a[:, None, :] - a2[None, :, :]), axis=-1) <= 1e-8
+    gaps = np.abs(b[:, None] - b2[None, :])
+    return bool(np.any(normals_match & (gaps > 1e-8) & (gaps <= 1e-8 * scale)))
+
+
+def points_in_scaled_band(points):
+    """Whether some point lies between the absolute and the scaled incidence
+    tolerance of a facet of the reference's hull or the kernel's, so that
+    the two can decide ``from_vertices`` of these points differently."""
+    pts = _ref_dedupe_rows(np.asarray(points, dtype=float), tol=REF_GEOM_TOL)
+    scale = max(1.0, np.max(np.linalg.norm(pts, axis=1)))
+    for hull in (_ref_facets_from_points, ehzcap.geometry._facets_from_points):
+        try:
+            a, b = hull(pts)
+        except InvalidBodyError:
+            continue
+        gaps = np.abs(pts @ a.T - b)
+        if np.any((gaps > REF_GEOM_TOL) & (gaps <= REF_GEOM_TOL * scale)):
+            return True
+    return False
+
+
 def _check_verdict(body, kind, size, rng):
     arrays = mutate(body, kind, size, rng)
     got = verdict(ConvexPolytope.from_representations, *arrays)
@@ -387,6 +444,9 @@ def _check_verdict(body, kind, size, rng):
                 1.0, np.max(np.linalg.norm(v, axis=1)))):
         # The kernel's margin test scales with the largest vertex norm
         # beyond 1; the reference's is absolute.  Only this band may differ.
+        return got, expected
+    if got != expected and in_scaled_band(a, b, v):
+        # So do its incidence tests and its offset match against the hull.
         return got, expected
     if kind in STRUCTURAL or kind == "repeat" or size > 1e-8:
         assert (got is None) == (expected is None), (kind, size, got, expected)
@@ -479,12 +539,25 @@ def spatial_bodies():
     return [tesseract(), simplex_4d(), cell_16(), random_4d_body()]
 
 
+def stacked_kernel_bodies():
+    """Bodies with many subsets per chunk, or with non-simplicial facets."""
+    bodies = [ConvexPolytope.from_vertices(sphere_points(3, 30, seed))
+              for seed in (0, 1)]
+    bodies += [ConvexPolytope.from_vertices(sphere_points(4, 24, seed))
+               for seed in (0, 1)]
+    bodies += [cell_16(), tesseract(), cell_24()]
+    bodies += [perturbed_body(corpus_bodies()["cube"], 1e-6, seed)
+               for seed in (0, 12)]
+    return bodies
+
+
 BUILDERS = {
     "corpus": lambda: [ConvexPolytope.from_vertices(body.vertices)
                        for body in corpus_bodies().values()],
     "planar-suite": planar_suite_polygons,
     "perturbed": perturbed_bodies,
     "4-d": spatial_bodies,
+    "stacked": stacked_kernel_bodies,
 }
 
 
@@ -653,8 +726,8 @@ class TestHullComparedOnlyForOutsideFacets:
     def test_clouds_get_the_parent_verdict(self, seed, dim, extra, decimals):
         rng = np.random.RandomState(seed)
         pts = rng.uniform(-1.0, 1.0, size=(dim + 1 + extra, dim)).round(decimals)
-        assert verdict(ConvexPolytope.from_vertices, pts) == \
-            parent_from_vertices(pts)
+        assert (verdict(ConvexPolytope.from_vertices, pts)
+                == parent_from_vertices(pts) or points_in_scaled_band(pts))
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(("cube", "octahedron")),
            st.sampled_from((1e-5, 1e-6, 1e-7)))
@@ -662,8 +735,8 @@ class TestHullComparedOnlyForOutsideFacets:
     def test_perturbed_bodies_get_the_parent_verdict(self, seed, name, delta):
         pts = perturbed_points(corpus_bodies()[name], delta,
                                np.random.RandomState(seed))
-        assert verdict(ConvexPolytope.from_vertices, pts) == \
-            parent_from_vertices(pts)
+        assert (verdict(ConvexPolytope.from_vertices, pts)
+                == parent_from_vertices(pts) or points_in_scaled_band(pts))
 
     def test_perturbed_cube_retry_gets_the_parent_verdicts(self, monkeypatch):
         # At delta 1e-6 and seed 12 the first draw has 11 hull facets on 7
@@ -701,6 +774,8 @@ def bounded_halfspaces():
                for delta in (1e-2, 1e-4, 1e-6)]
     bodies += [ConvexPolytope.from_vertices(rng.normal(size=(9, 3))),
                random_4d_body(count=8, seed=1)]
+    bodies += [ConvexPolytope.from_vertices(sphere_points(3, 30, 0)),
+               tesseract(), cell_16(), cell_24()]
     cases = []
     for body in bodies:
         cases.append((body.normals, body.offsets))
@@ -745,3 +820,119 @@ def test_chebyshev_center_keeps_its_bytes(family):
         expected_center, expected_radius = reference_chebyshev_center(body)
         assert center.tobytes() == expected_center.tobytes()
         assert radius == expected_radius
+
+
+# -- stacked subset kernels --------------------------------------------------------
+
+
+def reference_margin_dual_vertices(table):
+    """The previous ``_margin_dual_vertices``: every basis at once."""
+    f, n = table.num_facets, table.dim
+    e_mat = np.vstack([table.normals.T, np.ones((1, f))])
+    rhs = np.zeros(n + 1)
+    rhs[n] = 1.0
+    bases = np.array(list(combinations(range(f), n + 1)))
+    cols = e_mat[:, bases].transpose(1, 0, 2)
+    regular = np.linalg.matrix_rank(cols, tol=REF_GEOM_TOL) == n + 1
+    bases, cols = bases[regular], cols[regular]
+    x = np.linalg.solve(cols, np.broadcast_to(rhs[:, None],
+                                              cols.shape[:2] + (1,)))
+    residual = np.abs(cols @ x - rhs[:, None]).max(axis=(1, 2))
+    x = x[..., 0]
+    feasible = (residual <= REF_GEOM_TOL) & (x.min(axis=1) >= -REF_GEOM_TOL)
+    bases, x = bases[feasible], x[feasible]
+    rows = np.zeros((len(bases), f))
+    rows[np.arange(len(bases))[:, None], bases] = np.clip(x, 0.0, None)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    _, first = np.unique(rows > REF_GEOM_TOL, axis=0, return_index=True)
+    return rows[np.sort(first)]
+
+
+def margin_tables():
+    corpus = corpus_bodies()
+    return [corpus["cube"], corpus["octahedron"], tesseract(), cell_16(),
+            simplex_4d(), random_polygon(9, 3),
+            ConvexPolytope.from_vertices(sphere_points(3, 12, 0))]
+
+
+class TestStackedKernels:
+    @pytest.mark.parametrize("chunk, block", [(1, 1), (7, 3)])
+    def test_tiny_chunks_keep_the_bytes(self, chunk, block, monkeypatch):
+        bodies = [ConvexPolytope.from_vertices(sphere_points(3, 16, 0)),
+                  ConvexPolytope.from_vertices(sphere_points(4, 12, 0)),
+                  tesseract(), cell_16(), square(), simplex_4d(),
+                  perturbed_body(corpus_bodies()["cube"], 1e-6, 12)]
+        halfspaces = bounded_halfspaces()[-5:-2]  # tesseract, 16-cell
+        tables = margin_tables()[:4]
+        expected = ([arrays_of(ConvexPolytope.from_vertices(b.vertices))
+                     for b in bodies],
+                    [arrays_of(ConvexPolytope.from_halfspaces(*h))
+                     for h in halfspaces],
+                    [_margin_dual_vertices(t) for t in tables])
+        monkeypatch.setattr(ehzcap.geometry, "_SUBSET_CHUNK", chunk)
+        monkeypatch.setattr(ehzcap.geometry, "_ROW_BLOCK", block)
+        for body, arrays in zip(bodies, expected[0]):
+            assert_same_arrays(
+                arrays_of(ConvexPolytope.from_vertices(body.vertices)), arrays)
+        for h, arrays in zip(halfspaces, expected[1]):
+            assert_same_arrays(
+                arrays_of(ConvexPolytope.from_halfspaces(*h)), arrays)
+        for table, rows in zip(tables, expected[2]):
+            assert np.array_equal(_margin_dual_vertices(table), rows)
+
+    def test_margin_dual_vertices_keep_the_bytes(self):
+        for table in margin_tables():
+            got = _margin_dual_vertices(table)
+            expected = reference_margin_dual_vertices(table)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+
+    def test_one_svd_per_chunk(self, monkeypatch):
+        calls = []
+        original = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        body = ConvexPolytope.from_vertices(sphere_points(3, 30, 0))
+        chunks = -(-len(list(combinations(range(30), 3)))
+                   // ehzcap.geometry._SUBSET_CHUNK)
+        assert body.num_facets == 56
+        assert 1 <= len(calls) <= chunks
+
+
+class TestQhullFacetCounts:
+    """Qhull (scipy, test-only) as the reference for the facet counts."""
+
+    @pytest.mark.parametrize("dim, count", [(3, 12), (3, 30), (4, 10), (4, 16)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sphere_points(self, dim, count, seed):
+        spatial = pytest.importorskip("scipy.spatial")
+        pts = sphere_points(dim, count, seed)
+        hull = spatial.ConvexHull(pts)
+        equations = np.unique(np.round(hull.equations, 6), axis=0)
+        body = ConvexPolytope.from_vertices(pts)
+        assert body.num_facets == len(equations)
+        assert len(body.vertices) == len(hull.vertices)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_interior_points(self, seed):
+        # Gaussian clouds: many points are interior and get dropped.
+        spatial = pytest.importorskip("scipy.spatial")
+        for dim, count in ((3, 25), (4, 18)):
+            pts = np.random.RandomState(seed).normal(size=(count, dim))
+            hull = spatial.ConvexHull(pts)
+            body = ConvexPolytope.from_vertices(pts)
+            assert body.num_facets == len(
+                np.unique(np.round(hull.equations, 6), axis=0))
+            assert len(body.vertices) == len(hull.vertices)
+
+    def test_non_simplicial_facets(self):
+        spatial = pytest.importorskip("scipy.spatial")
+        for body, facets in ((tesseract(), 8), (cell_16(), 16),
+                             (cell_24(), 24)):
+            hull = spatial.ConvexHull(body.vertices)
+            assert body.num_facets == facets == len(
+                np.unique(np.round(hull.equations, 6), axis=0))
