@@ -7,7 +7,8 @@ curve can always be translated to touch the boundary, and the touched
 facets then carry the origin in the convex hull of their outward normals.
 The solver therefore enumerates cyclic facet sequences with that hull
 property, solves one linear program per sequence for the shortest touching
-curve, and takes the minimum.  The hull property itself needs no LP: the
+curve, and takes the minimum, skipping the sequences whose lower bound
+shows they cannot reach it.  The hull property itself needs no LP: the
 vertices of the polytope of hull weights are listed once per table, and a
 facet set has the property exactly when it contains the support of one of
 them.  Only those vertex supports, the minimal sets, are enumerated: a
@@ -15,12 +16,27 @@ curve's points on facets outside such a support can be dropped without
 lengthening it or letting it be translated into the interior.
 
 Each side runs in three stages: enumerate the assignments, filter them,
-solve one LP per kept assignment.  The filter acts only when the length
+solve the kept assignments best-first.  The filter acts only when the length
 body is centrally symmetric, about some center c.  Then h_T(-d) =
 h_T(d) - 2 c.d, and the linear term sums to zero around a closed curve, so
 a curve traversed backwards keeps its length and a facet cycle has the same
 optimal value as its reverse.  Of each such pair only the lexicographically
 smaller cycle is solved, which is also the one the tie-break reports.
+
+The search bounds each kept assignment from below by its largest pair
+bound.  Dropping points never lengthens a closed curve, so an assignment is
+at least as long as the shortest 2-cycle through any two of its facets, and
+a 2-cycle through u and v has length h_T(v - u) + h_T(u - v), the largest
+<p, v - u> over differences p of two length-body vertices.  For facets i
+and j the pair bound is the largest, over those p, of the least <p, v> on
+facet j minus the greatest <p, u> on facet i, read off the facets' vertices.
+The assignments are solved in ascending bound order, ties in enumeration
+order, and the search stops at the first bound above the best value so far
+plus the tie band and the LP's duality-gap tolerance, both relative to
+1 + |best|.  Every assignment that could tie is solved, each LP with the
+data and pivots it would have without the bound, so the value, the tie set
+and the curves are those of solving every kept assignment.  An
+``LpNumericalError`` names the first failing program in bound order.
 
 The result is cross-checked four ways: the same enumeration runs with the
 two bodies swapped, and on both sides a strong billiard trajectory of the
@@ -67,16 +83,21 @@ from .geometry import (
     GEOM_TOL,
     ConvexPolytope,
     _RANK_TOL,
+    _incidence_tol,
     _subset_chunks,
     chebyshev_center,
     negate,
     translate,
 )
-from .lp import make_lp, solve_lp
+from .lp import DUALITY_GAP_TOL, make_lp, solve_lp
 
 VALUE_TIE_TOL = 1e-9
 LENGTH_AGREEMENT_TOL = 1e-8
 QUANTITY_AGREEMENT_TOL = 1e-6
+# Relative margin above the best value so far past which an assignment's
+# lower bound stops the best-first search: the tie band plus the distance
+# by which an accepted LP value may fall short of the true optimum.
+_PRUNE_MARGIN = VALUE_TIE_TOL + DUALITY_GAP_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,10 +354,18 @@ class CapacityResult:
 
 @dataclass(frozen=True, eq=False)
 class _SideSolve:
+    """One side's minimum and tie set.  ``enumerated`` counts the
+    assignments on minimal supports, ``kept`` those the reversal filter
+    keeps, and ``solved`` the LPs solved before the bound stopped the
+    search."""
+
     value: float
     tied: tuple[AssignmentSolution, ...]
     length_body: ConvexPolytope
     length_shift: np.ndarray
+    enumerated: int
+    kept: int
+    solved: int
 
 
 def _centered_length_body(body: ConvexPolytope):
@@ -379,32 +408,98 @@ def _one_orientation(assignments: tuple[FacetAssignment, ...]):
                  if a.size == 2 or a.indices[1] < a.indices[-1])
 
 
+def _pair_bounds(table: ConvexPolytope,
+                 length_body: ConvexPolytope) -> np.ndarray:
+    """(F, F) lower bounds on every closed curve through two table facets.
+
+    A closed curve through points u on facet i and v on facet j has length
+    h_T(v - u) + h_T(u - v) = max over p = w_a - w_b of <p, v - u>, the w
+    being the length body's vertices.  Swapping the minimum over the facets
+    with the maximum over p bounds the shortest such curve from below by
+    max_p (min_{v in F_j} <p, v> - max_{u in F_i} <p, u>), where F_i are
+    the table vertices on facet i.  The facet vertices come from the
+    body's incidence test; the products come from one V_K x V_T^2 matrix.
+    """
+    w = length_body.vertices
+    diffs = (w[:, None, :] - w[None, :, :]).reshape(-1, table.dim)
+    dots = table.vertices @ diffs.T  # (V_K, V_T^2)
+    incident = (table.vertices @ table.normals.T - table.offsets
+                >= -_incidence_tol(table.vertices))  # (V_K, F)
+    facet, vertex = np.nonzero(incident.T)
+    starts = np.flatnonzero(np.r_[True, facet[1:] != facet[:-1]])
+    low = np.minimum.reduceat(dots[vertex], starts, axis=0)  # (F, V_T^2)
+    high = np.maximum.reduceat(dots[vertex], starts, axis=0)
+    bounds = np.array([(low - h).max(axis=1) for h in high])
+    return np.maximum(bounds, bounds.T)
+
+
+def _assignment_bounds(table: ConvexPolytope, length_body: ConvexPolytope,
+                       assignments) -> np.ndarray:
+    """A lower bound on each assignment's optimal value: the largest pair
+    bound among its facets.
+
+    Dropping points from a closed curve never lengthens it, because the
+    support function of the length body is sublinear, so the shortest curve
+    of an assignment is at least as long as the shortest closed curve
+    through any two of its facets.  Shorter assignments are padded with
+    their first facet to one width.  The padding adds only diagonal pairs,
+    which bound by 0 while every bound is at least 0 (p = 0), and pairs
+    already present.
+    """
+    pair = _pair_bounds(table, length_body)
+    width = max(a.size for a in assignments)
+    idx = np.array([a.indices + a.indices[:1] * (width - a.size)
+                    for a in assignments])
+    return pair[idx[:, :, None], idx[:, None, :]].max(axis=(1, 2))
+
+
 def _solve_side(table: ConvexPolytope, geometry: ConvexPolytope) -> _SideSolve:
     """Minimum over the table's facet assignments, in three stages.
 
     Enumerate the assignments on minimal supports; filter, solving only one
     orientation of each facet cycle when the centered length body is
     centrally symmetric (a reversed curve then keeps its length, see the
-    module docstring); solve one assignment LP per kept assignment.  The tie
-    set holds every solved assignment within ``VALUE_TIE_TOL`` of the
-    minimum, sorted by indices.  The filter keeps the smaller cycle of each
-    reversed pair, so the first tied assignment is the one the enumeration
-    without the filter would give.  A search over every facet set with the
-    hull property has the same minimum but may tie on a set that strictly
-    contains a minimal support and sorts first; that assignment is not
-    enumerated, so ``tied[0]`` can differ from it.
+    module docstring); solve the kept assignments best-first.  Each kept
+    assignment is bounded from below by :func:`_assignment_bounds`, the
+    assignments are solved in ascending bound order (ties in enumeration
+    order), and the search stops at the first bound above ``best +
+    (VALUE_TIE_TOL + DUALITY_GAP_TOL) * (1 + |best|)``, ``best`` being the
+    smallest value solved so far.  An assignment left unsolved has a true
+    value above that, and its computed value could not come within
+    ``VALUE_TIE_TOL`` of the minimum, since an accepted LP value is within
+    ``DUALITY_GAP_TOL`` of the true one.  So every assignment that could
+    tie is solved, with the same data as without the bound, and the value
+    and the tie set are those of solving them all.  An ``LpNumericalError``
+    names the first failing program in bound order; a failing program
+    whose bound lies past the stop is never solved.
+
+    The tie set holds every solved assignment within ``VALUE_TIE_TOL`` of
+    the minimum, sorted by indices.  The filter keeps the smaller cycle of
+    each reversed pair, so the first tied assignment is the one the
+    enumeration without the filter would give.  A search over every facet
+    set with the hull property has the same minimum but may tie on a set
+    that strictly contains a minimal support and sorts first; that
+    assignment is not enumerated, so ``tied[0]`` can differ from it.
     """
     length_body, shift = _centered_length_body(geometry)
     assignments = enumerate_assignments(table)
+    enumerated = len(assignments)
     if _centrally_symmetric(length_body):
         assignments = _one_orientation(assignments)
-    solutions = [solve_assignment(table, length_body, a) for a in assignments]
-    value = min(s.value for s in solutions)
-    tie = VALUE_TIE_TOL * (1.0 + abs(value))
-    tied = sorted((s for s in solutions if s.value <= value + tie),
+    bounds = _assignment_bounds(table, length_body, assignments)
+    solutions = []
+    best = inf
+    for k in np.argsort(bounds, kind="stable"):
+        if bounds[k] > best + _PRUNE_MARGIN * (1.0 + abs(best)):
+            break
+        solutions.append(solve_assignment(table, length_body, assignments[k]))
+        best = min(best, solutions[-1].value)
+    tie = VALUE_TIE_TOL * (1.0 + abs(best))
+    tied = sorted((s for s in solutions if s.value <= best + tie),
                   key=lambda s: s.assignment.indices)
-    return _SideSolve(value=value, tied=tuple(tied), length_body=length_body,
-                      length_shift=shift)
+    return _SideSolve(value=best, tied=tuple(tied), length_body=length_body,
+                      length_shift=shift, enumerated=enumerated,
+                      kept=len(assignments), solved=len(solutions))
 
 
 def _body_key(body: ConvexPolytope) -> tuple:

@@ -124,7 +124,7 @@ class ConvexPolytope:
         if np.linalg.matrix_rank(pts - pts[0], tol=_RANK_TOL) < n:
             raise InvalidBodyError("points do not span the ambient dimension")
         normals, offsets = _facets_from_points(pts)
-        tol = GEOM_TOL * _scale(pts)
+        tol = _incidence_tol(pts)
         active = np.array([normals @ p - offsets >= -tol for p in pts])
         # The facets are the hull of these very points, so comparing them
         # with a hull again would prove nothing; the structure still decides.
@@ -249,7 +249,7 @@ class ConvexPolytope:
         n = self.dim
         if np.linalg.matrix_rank(v - v[0], tol=_RANK_TOL) < n:
             raise InvalidBodyError("vertex set is not full-dimensional")
-        active = v @ a.T - b >= -GEOM_TOL * _scale(v)  # (V, F)
+        active = v @ a.T - b >= -_incidence_tol(v)  # (V, F)
         # Facet support: each facet carries at least n vertices spanning it.
         # The first facet that fails names the error.
         few = np.count_nonzero(active, axis=0) < n
@@ -291,6 +291,12 @@ def _scale(points: np.ndarray) -> float:
     coordinates, so the margin, incidence and facet-offset tolerances are
     multiplied by it."""
     return max(1.0, float(np.max(np.linalg.norm(points, axis=1))))
+
+
+def _incidence_tol(points: np.ndarray) -> float:
+    """How far inside a facet's plane a point may lie and still be on the
+    facet, in the incidence tests of a body's points against its facets."""
+    return GEOM_TOL * _scale(points)
 
 
 def _subset_chunks(k: int, r: int):
