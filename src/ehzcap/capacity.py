@@ -23,20 +23,23 @@ a curve traversed backwards keeps its length and a facet cycle has the same
 optimal value as its reverse.  Of each such pair only the lexicographically
 smaller cycle is solved, which is also the one the tie-break reports.
 
-The search bounds each kept assignment from below by its largest pair
-bound.  Dropping points never lengthens a closed curve, so an assignment is
-at least as long as the shortest 2-cycle through any two of its facets, and
-a 2-cycle through u and v has length h_T(v - u) + h_T(u - v), the largest
-<p, v - u> over differences p of two length-body vertices.  For facets i
-and j the pair bound is the largest, over those p, of the least <p, v> on
-facet j minus the greatest <p, u> on facet i, read off the facets' vertices.
-The assignments are solved in ascending bound order, ties in enumeration
-order, and the search stops at the first bound above the best value so far
-plus the tie band and the LP's duality-gap tolerance, both relative to
-1 + |best|.  Every assignment that could tie is solved, each LP with the
-data and pivots it would have without the bound, so the value, the tie set
-and the curves are those of solving every kept assignment.  An
-``LpNumericalError`` names the first failing program in bound order.
+The search bounds each kept assignment from below by its cycle bound.  A
+curve's length sum_j h_T(q_{j+1} - q_j) is a maximum over momenta in the
+length body T.  Fixing one vertex of T as each segment's momentum leaves a
+linear function of the points, whose least value over the assigned facets
+is read off the facets' vertices, and the largest such value over the
+vertex sequences is a max-plus trace of one (V_T, V_T) table per facet.
+Sequences constant on the two arcs between two of the facets bound the
+shortest 2-cycle through those two, so the cycle bound is never below
+such a pair bound, and it is the value itself when some optimal momentum
+sequence uses only vertices of T.  The assignments are solved in
+ascending bound order, ties in enumeration order, and the search stops at
+the first bound above the best value so far plus the tie band and the
+LP's duality-gap tolerance, both relative to 1 + |best|.  Every assignment
+that could tie is solved, each LP with the data and pivots it would have
+without the bound, so the value, the tie set and the curves are those of
+solving every kept assignment.  An ``LpNumericalError`` names the first
+failing program in bound order.
 
 The result is cross-checked four ways: the same enumeration runs with the
 two bodies swapped, and on both sides a strong billiard trajectory of the
@@ -98,6 +101,9 @@ QUANTITY_AGREEMENT_TOL = 1e-6
 # lower bound stops the best-first search: the tie band plus the distance
 # by which an accepted LP value may fall short of the true optimum.
 _PRUNE_MARGIN = VALUE_TIE_TOL + DUALITY_GAP_TOL
+# Assignments whose cycle bounds are formed at once: each step of the
+# max-plus product holds a few (chunk, V_T, V_T) arrays.
+_BOUND_CHUNK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,17 +414,17 @@ def _one_orientation(assignments: tuple[FacetAssignment, ...]):
                  if a.size == 2 or a.indices[1] < a.indices[-1])
 
 
-def _pair_bounds(table: ConvexPolytope,
-                 length_body: ConvexPolytope) -> np.ndarray:
-    """(F, F) lower bounds on every closed curve through two table facets.
+def _momentum_tables(table: ConvexPolytope,
+                     length_body: ConvexPolytope) -> np.ndarray:
+    """(F, V_T, V_T) tables, entry [i, a, b] the least <w_a - w_b, v> over
+    the vertices v of table facet i, the w being the length body's
+    vertices.
 
-    A closed curve through points u on facet i and v on facet j has length
-    h_T(v - u) + h_T(u - v) = max over p = w_a - w_b of <p, v - u>, the w
-    being the length body's vertices.  Swapping the minimum over the facets
-    with the maximum over p bounds the shortest such curve from below by
-    max_p (min_{v in F_j} <p, v> - max_{u in F_i} <p, u>), where F_i are
-    the table vertices on facet i.  The facet vertices come from the
-    body's incidence test; the products come from one V_K x V_T^2 matrix.
+    A point q on facet i, entered with momentum w_a and left with momentum
+    w_b, adds <w_a - w_b, q> to a curve's length at fixed momenta, and a
+    linear function takes its least value on a facet at a vertex.  The
+    facet vertices come from the body's incidence test; the products come
+    from one V_K x V_T^2 matrix.
     """
     w = length_body.vertices
     diffs = (w[:, None, :] - w[None, :, :]).reshape(-1, table.dim)
@@ -428,29 +434,53 @@ def _pair_bounds(table: ConvexPolytope,
     facet, vertex = np.nonzero(incident.T)
     starts = np.flatnonzero(np.r_[True, facet[1:] != facet[:-1]])
     low = np.minimum.reduceat(dots[vertex], starts, axis=0)  # (F, V_T^2)
-    high = np.maximum.reduceat(dots[vertex], starts, axis=0)
-    bounds = np.array([(low - h).max(axis=1) for h in high])
-    return np.maximum(bounds, bounds.T)
+    return low.reshape(-1, len(w), len(w))
 
 
 def _assignment_bounds(table: ConvexPolytope, length_body: ConvexPolytope,
                        assignments) -> np.ndarray:
-    """A lower bound on each assignment's optimal value: the largest pair
-    bound among its facets.
+    """A lower bound on each assignment's optimal value: its cycle bound.
 
-    Dropping points from a closed curve never lengthens it, because the
-    support function of the length body is sublinear, so the shortest curve
-    of an assignment is at least as long as the shortest closed curve
-    through any two of its facets.  Shorter assignments are padded with
-    their first facet to one width.  The padding adds only diagonal pairs,
-    which bound by 0 while every bound is at least 0 (p = 0), and pairs
-    already present.
+    Fix one length-body vertex w_{a_j} as the momentum of each segment j,
+    from q_j to q_{j+1}.  Since h_T(d) >= <w_a, d>, the curve is at least
+    as long as sum_j <w_{a_j}, q_{j+1} - q_j> = sum_j <w_{a_{j-1}} -
+    w_{a_j}, q_j>, and its least value over points on the assigned facets
+    is sum_j M_{i_j}[a_{j-1}, a_j], M the :func:`_momentum_tables`.  The
+    bound is the largest such sum over the momentum sequences, the trace
+    of the max-plus product of the assignment's tables.  The sequences
+    constant on the two arcs between facets i and j give max over a, b of
+    M_i[b, a] + M_j[a, b], the closed-form bound of the shortest 2-cycle
+    through the two, so the bound is never below that pair bound, and it
+    equals the value when some optimal momentum sequence uses only
+    vertices of T.
+
+    Shorter assignments are padded to one width with the max-plus identity
+    (0 on the diagonal, -inf off it).  The products are formed one inner
+    index at a time, so a block of k assignments holds k V_T^2 numbers,
+    and at most ``_BOUND_CHUNK`` assignments are bounded at once.
     """
-    pair = _pair_bounds(table, length_body)
+    tables = _momentum_tables(table, length_body)
+    v = tables.shape[1]
+    identity = np.full((1, v, v), -inf)
+    identity[0, range(v), range(v)] = 0.0
+    tables = np.concatenate([tables, identity])
+    pad = len(tables) - 1
     width = max(a.size for a in assignments)
-    idx = np.array([a.indices + a.indices[:1] * (width - a.size)
+    idx = np.array([a.indices + (pad,) * (width - a.size)
                     for a in assignments])
-    return pair[idx[:, :, None], idx[:, None, :]].max(axis=(1, 2))
+    bounds = []
+    for start in range(0, len(idx), _BOUND_CHUNK):
+        block = idx[start:start + _BOUND_CHUNK]
+        product = tables[block[:, 0]]  # (k, V_T, V_T)
+        for column in block[:, 1:].T:
+            step = tables[column]
+            nxt = np.full_like(product, -inf)
+            for b in range(v):
+                np.maximum(nxt, product[:, :, b:b + 1] + step[:, None, b, :],
+                           out=nxt)
+            product = nxt
+        bounds.append(product.diagonal(axis1=1, axis2=2).max(axis=1))
+    return np.concatenate(bounds)
 
 
 def _solve_side(table: ConvexPolytope, geometry: ConvexPolytope) -> _SideSolve:
@@ -460,9 +490,10 @@ def _solve_side(table: ConvexPolytope, geometry: ConvexPolytope) -> _SideSolve:
     orientation of each facet cycle when the centered length body is
     centrally symmetric (a reversed curve then keeps its length, see the
     module docstring); solve the kept assignments best-first.  Each kept
-    assignment is bounded from below by :func:`_assignment_bounds`, the
-    assignments are solved in ascending bound order (ties in enumeration
-    order), and the search stops at the first bound above ``best +
+    assignment is bounded from below by its cycle bound
+    (:func:`_assignment_bounds`), the assignments are solved in ascending
+    bound order (ties in enumeration order), and the search stops at the
+    first bound above ``best +
     (VALUE_TIE_TOL + DUALITY_GAP_TOL) * (1 + |best|)``, ``best`` being the
     smallest value solved so far.  An assignment left unsolved has a true
     value above that, and its computed value could not come within

@@ -1,6 +1,6 @@
 import dataclasses
 import re
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -22,7 +22,6 @@ from ehzcap.capacity import (
     _centrally_symmetric,
     _margin_dual_vertices,
     _one_orientation,
-    _pair_bounds,
     _realize_billiard,
     _solve_side,
 )
@@ -47,6 +46,7 @@ from ehzcap.geometry import (
     chebyshev_center,
     negate,
     translate,
+    _incidence_tol,
 )
 from ehzcap.lp import LpSolution, solve_lp
 
@@ -484,6 +484,62 @@ def _assert_bounds_below_values(table, geometry):
 polygons = st.one_of(centered_polygons(), symmetric_polygons_off_center())
 
 
+def _pair_bounds(table, length_body):
+    """Reference copy of the pair bounds the cycle bound replaced: (F, F)
+    lower bounds on every closed curve through two table facets, the
+    largest over p = w_a - w_b of the least <p, v> on facet j's vertices
+    minus the greatest <p, u> on facet i's, symmetrized."""
+    w = length_body.vertices
+    diffs = (w[:, None, :] - w[None, :, :]).reshape(-1, table.dim)
+    dots = table.vertices @ diffs.T  # (V_K, V_T^2)
+    incident = (table.vertices @ table.normals.T - table.offsets
+                >= -_incidence_tol(table.vertices))  # (V_K, F)
+    facet, vertex = np.nonzero(incident.T)
+    starts = np.flatnonzero(np.r_[True, facet[1:] != facet[:-1]])
+    low = np.minimum.reduceat(dots[vertex], starts, axis=0)  # (F, V_T^2)
+    high = np.maximum.reduceat(dots[vertex], starts, axis=0)
+    bounds = np.array([(low - h).max(axis=1) for h in high])
+    return np.maximum(bounds, bounds.T)
+
+
+def _assert_cycle_bounds_match_their_definition(table, geometry):
+    """Every kept assignment's cycle bound is, up to rounding, the largest
+    over vertex momentum sequences of sum_j min over facet i_j's vertices v
+    of <w_{a_{j-1}} - w_{a_j}, v>, each sequence summed in a loop."""
+    length_body, _ = _centered_length_body(geometry)
+    assignments = enumerate_assignments(table)
+    if _centrally_symmetric(length_body):
+        assignments = _one_orientation(assignments)
+    bounds = _assignment_bounds(table, length_body, assignments)
+    w = length_body.vertices
+    on_facet = [table.vertices[table.vertices @ a - b
+                               >= -_incidence_tol(table.vertices)]
+                for a, b in zip(table.normals, table.offsets)]
+    for a, bound in zip(assignments, bounds):
+        best = max(
+            sum(min((w[seq[j - 1]] - w[seq[j]]) @ v for v in on_facet[i])
+                for j, i in enumerate(a.indices))
+            for seq in product(range(len(w)), repeat=a.size))
+        assert abs(bound - best) <= 1e-12 * (1.0 + abs(best)), a.indices
+
+
+def _assert_cycle_bounds_dominate_pair_bounds(table, geometry):
+    """Every kept assignment's cycle bound is at least its largest pair
+    bound, and equal to it on a 2-cycle, up to rounding."""
+    length_body, _ = _centered_length_body(geometry)
+    assignments = enumerate_assignments(table)
+    if _centrally_symmetric(length_body):
+        assignments = _one_orientation(assignments)
+    bounds = _assignment_bounds(table, length_body, assignments)
+    pair = _pair_bounds(table, length_body)
+    for a, bound in zip(assignments, bounds):
+        largest = max(pair[i, j] for i, j in combinations(a.indices, 2))
+        tol = 1e-12 * (1.0 + abs(bound))
+        assert bound >= largest - tol, a.indices
+        if a.size == 2:
+            assert bound <= largest + tol, a.indices
+
+
 class TestBestFirstSearch:
     @given(polygons, polygons)
     @settings(max_examples=25, deadline=None)
@@ -505,6 +561,13 @@ class TestBestFirstSearch:
     def test_bounds_are_below_the_values_on_polygons(self, table, geometry):
         _assert_bounds_below_values(table, geometry)
 
+    def test_bounds_are_below_the_values_on_a_pentagon_with_triangle_lengths(
+            self):
+        # The triangle is not centrally symmetric, so a cycle and its
+        # reverse differ: (1, 2, 3) has the value 1.382, and the bound of
+        # its reverse reads 1.809.
+        _assert_bounds_below_values(regular_pentagon(), triangle())
+
     @given(st.sampled_from(["cube", "octahedron", "simplex-3d"]),
            st.sampled_from(["cube", "octahedron", "simplex-3d"]),
            st.sampled_from([1e-2, 1e-3]), st.integers(0, 20))
@@ -522,15 +585,56 @@ class TestBestFirstSearch:
         except LpNumericalError:
             assume(False)
 
+    @given(polygons, polygons)
+    @settings(max_examples=25, deadline=None)
+    def test_cycle_bounds_dominate_pair_bounds_on_polygons(self, table,
+                                                          geometry):
+        _assert_cycle_bounds_dominate_pair_bounds(table, geometry)
+
+    @pytest.mark.parametrize("table, geometry", [
+        (t, g) for t in ("cube", "octahedron", "simplex-3d")
+        for g in ("cube", "octahedron", "simplex-3d")])
+    def test_cycle_bounds_dominate_pair_bounds_on_named_bodies(
+            self, table, geometry):
+        _assert_cycle_bounds_dominate_pair_bounds(named_body(table),
+                                                  named_body(geometry))
+
+    @given(polygons, polygons)
+    @settings(max_examples=10, deadline=None)
+    def test_cycle_bounds_match_their_definition_on_polygons(self, table,
+                                                            geometry):
+        _assert_cycle_bounds_match_their_definition(table, geometry)
+
+    @pytest.mark.parametrize("table, geometry", [
+        ("cube", "octahedron"), ("octahedron", "cube"),
+        ("simplex-3d", "simplex-3d")])
+    def test_cycle_bounds_match_their_definition_on_named_bodies(
+            self, table, geometry):
+        _assert_cycle_bounds_match_their_definition(named_body(table),
+                                                    named_body(geometry))
+
+    def test_triangle_cycle_is_bounded_where_every_pair_reads_zero(self):
+        # Momenta on the square's vertices reach the value; no two of the
+        # triangle's facets alone carry any length bound.
+        tri, sq = triangle(), square()
+        assignment = next(a for a in enumerate_assignments(tri)
+                          if a.indices == (0, 1, 2))
+        bound = _assignment_bounds(tri, sq, [assignment])[0]
+        assert abs(bound - 2.0) <= 1e-12
+        assert solve_assignment(tri, sq, assignment).value == 2.0000000000000004
+        assert np.all(_pair_bounds(tri, sq) == 0.0)
+
     def test_opposite_square_facets_bound_the_capacity_exactly(self):
         sq = square()
         assert (facet_index(sq, (-1, 0)), facet_index(sq, (1, 0))) == (0, 3)
-        assert abs(_pair_bounds(sq, sq)[0, 3] - 4.0) <= 1e-12
+        opposite = next(a for a in enumerate_assignments(sq)
+                        if a.indices == (0, 3))
+        assert abs(_assignment_bounds(sq, sq, [opposite])[0] - 4.0) <= 1e-12
 
     @pytest.mark.parametrize("table, geometry, counts", [
         (square, square, (2, 2, 2)),
         (lambda: random_polygon(8, 2), lambda: random_polygon(8, 3),
-         (36, 36, 16)),
+         (36, 36, 5)),
     ], ids=["square-square", "8-gon-8-gon"])
     def test_counts(self, table, geometry, counts):
         side = _solve_side(table(), geometry())
