@@ -59,7 +59,7 @@ tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 from math import ceil, inf
 
 import numpy as np
@@ -79,6 +79,7 @@ from .errors import (
     DimensionMismatchError,
     GridTooCoarseError,
     InvalidBodyError,
+    InvalidParameterError,
     LpNumericalError,
     OriginNotInteriorError,
 )
@@ -86,6 +87,7 @@ from .geometry import (
     GEOM_TOL,
     ConvexPolytope,
     _RANK_TOL,
+    _dedupe_rows,
     _incidence_tol,
     _subset_chunks,
     chebyshev_center,
@@ -423,15 +425,13 @@ def _momentum_tables(table: ConvexPolytope,
     A point q on facet i, entered with momentum w_a and left with momentum
     w_b, adds <w_a - w_b, q> to a curve's length at fixed momenta, and a
     linear function takes its least value on a facet at a vertex.  The
-    facet vertices come from the body's incidence test; the products come
-    from one V_K x V_T^2 matrix.
+    facet vertices are the table's own :attr:`ConvexPolytope.incidence`;
+    the products come from one V_K x V_T^2 matrix.
     """
     w = length_body.vertices
     diffs = (w[:, None, :] - w[None, :, :]).reshape(-1, table.dim)
     dots = table.vertices @ diffs.T  # (V_K, V_T^2)
-    incident = (table.vertices @ table.normals.T - table.offsets
-                >= -_incidence_tol(table.vertices))  # (V_K, F)
-    facet, vertex = np.nonzero(incident.T)
+    facet, vertex = np.nonzero(table.incidence.T)
     starts = np.flatnonzero(np.r_[True, facet[1:] != facet[:-1]])
     low = np.minimum.reduceat(dots[vertex], starts, axis=0)  # (F, V_T^2)
     return low.reshape(-1, len(w), len(w))
@@ -648,9 +648,13 @@ def ehz_capacity(table: ConvexPolytope, geometry: ConvexPolytope) -> CapacityRes
 
 def _facet_grid(body: ConvexPolytope, facet: int, step: float) -> np.ndarray:
     """Grid of the given spacing on one facet, in facet-intrinsic coordinates,
-    together with the facet's corners."""
-    margins = body.vertices @ body.normals[facet] - body.offsets[facet]
-    corners = body.vertices[margins >= -GEOM_TOL]
+    together with the facet's corners.
+
+    The corners are the body's own incidence; a grid point is kept when no
+    facet inequality fails by more than the body's incidence tolerance, so
+    both tests scale with the body.
+    """
+    corners = body.vertices[body.incidence[:, facet]]
     centroid = corners.mean(axis=0)
     shifted = corners - centroid
     _, s, vt = np.linalg.svd(shifted, full_matrices=False)
@@ -663,24 +667,18 @@ def _facet_grid(body: ConvexPolytope, facet: int, step: float) -> np.ndarray:
         axes.append(np.linspace(lo, hi, count + 1))
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
     candidates = centroid + mesh @ basis
-    inside = (candidates @ body.normals.T - body.offsets).max(axis=1) <= GEOM_TOL
+    slack = (candidates @ body.normals.T - body.offsets).max(axis=1)
+    inside = slack <= _incidence_tol(body.vertices)
     return np.vstack([corners, candidates[inside]])
 
 
-def _dedupe(points: np.ndarray) -> np.ndarray:
-    order = np.lexsort(points.T[::-1])
-    pts = points[order]
-    keep = [pts[0]]
-    for p in pts[1:]:
-        if np.max(np.abs(p - keep[-1])) > GEOM_TOL:
-            keep.append(p)
-    return np.array(keep)
-
-
 def boundary_grid(table: ConvexPolytope, step: float) -> np.ndarray:
-    """Deduplicated grid points covering the whole boundary of the body."""
-    parts = [_facet_grid(table, i, step) for i in range(table.num_facets)]
-    return _dedupe(np.vstack(parts))
+    """Grid points covering the whole boundary of the body, sorted, each
+    kept once: points within the incidence tolerance of the grid's scale
+    are one point."""
+    pts = np.vstack([_facet_grid(table, i, step)
+                     for i in range(table.num_facets)])
+    return _dedupe_rows(pts, tol=_incidence_tol(pts))
 
 
 def brute_force_oracle(table: ConvexPolytope, geometry: ConvexPolytope,
@@ -692,15 +690,21 @@ def brute_force_oracle(table: ConvexPolytope, geometry: ConvexPolytope,
     decided by closed-form evaluation of the translation-margin dual over
     precomputed weight vertices, and lengths come straight from support
     values.  Searches a finite subset of the admissible curves, so the
-    result is always an upper bound for the capacity.
+    result is always an upper bound for the capacity.  The grid
+    (:func:`boundary_grid`) scales with the table: its facet corners are
+    the table's incidence and its tolerances are the incidence tolerance.
+    A step that is not positive (NaN included) or a tuple size bound
+    outside ``[2, dim + 1]`` raises :class:`InvalidParameterError`.
     """
-    if grid_step <= 0:
-        raise ValueError("grid step must be positive")
+    if not grid_step > 0:
+        raise InvalidParameterError(
+            f"grid step must be positive, got {grid_step}")
     n = table.dim
     if m_max is None:
         m_max = n + 1
     if not 2 <= m_max <= n + 1:
-        raise ValueError(f"tuple size bound must be in [2, {n + 1}]")
+        raise InvalidParameterError(
+            f"tuple size bound must be in [2, {n + 1}], got {m_max}")
     length_body, _ = _centered_length_body(geometry)
     points = boundary_grid(table, grid_step)
     duals = _margin_dual_vertices(table)
@@ -711,7 +715,7 @@ def brute_force_oracle(table: ConvexPolytope, geometry: ConvexPolytope,
     found_any = False
     for m in range(2, m_max + 1):
         orders = [(0,) + perm for perm in permutations(range(1, m))]
-        for chunk in _combination_chunks(points.shape[0], m, 200_000):
+        for chunk in _subset_chunks(points.shape[0], m):
             tuple_slack = slack[chunk]  # (C, m, F)
             # per-facet worst slack over the tuple, then the dual reading of
             # the translation-margin program: min over weight vertices
@@ -732,17 +736,6 @@ def brute_force_oracle(table: ConvexPolytope, geometry: ConvexPolytope,
         raise GridTooCoarseError(
             f"no pinned tuple of up to {m_max} grid points at step {grid_step}")
     return best
-
-
-def _combination_chunks(count: int, size: int, chunk: int):
-    buf = []
-    for combo in combinations(range(count), size):
-        buf.append(combo)
-        if len(buf) >= chunk:
-            yield np.array(buf)
-            buf = []
-    if buf:
-        yield np.array(buf)
 
 
 # -- identity report ---------------------------------------------------------

@@ -39,6 +39,10 @@ class NotABilliardError(EhzcapError):
     """No dual trajectory exists for the given curve."""
 
 
+class InvalidParameterError(EhzcapError, ValueError):
+    """A numeric parameter lies outside its documented range."""
+
+
 class GridTooCoarseError(EhzcapError):
     """The brute-force grid produced no pinned tuple at all."""
 

@@ -23,7 +23,10 @@ map its arrays exactly or up to rounding, so they keep only the shape,
 finiteness, unit-normal and margin checks.  All predicates resolve at
 ``GEOM_TOL``; the margin and incidence tests, and the offset matches of
 facets, scale it by the largest point norm beyond 1, because rounding grows
-with the coordinates.
+with the coordinates.  Which vertex lies on which facet is decided by one
+test, ``_incidence``, and each body keeps its answer as
+:attr:`ConvexPolytope.incidence`, computed once: the structure check, the
+assignment solver's cycle bound and the grid oracle all read that array.
 """
 
 from __future__ import annotations
@@ -71,7 +74,8 @@ class ConvexPolytope:
     comparison included.  The vertex route computes the hull once and checks
     only the structure of the body it builds.  Images of a validated body
     are built without repeating the proof.  Instances are immutable; the
-    backing arrays are read-only views.
+    backing arrays are read-only views.  The vertex-facet incidence is
+    computed on first use, at the body's scaled tolerance, and kept.
     """
 
     def __init__(self, normals, offsets, vertices):
@@ -124,8 +128,7 @@ class ConvexPolytope:
         if np.linalg.matrix_rank(pts - pts[0], tol=_RANK_TOL) < n:
             raise InvalidBodyError("points do not span the ambient dimension")
         normals, offsets = _facets_from_points(pts)
-        tol = _incidence_tol(pts)
-        active = np.array([normals @ p - offsets >= -tol for p in pts])
+        active = _incidence(pts, normals, offsets)
         # The facets are the hull of these very points, so comparing them
         # with a hull again would prove nothing; the structure still decides.
         body = cls._image(normals, offsets, pts[_extreme_mask(normals, active)])
@@ -193,6 +196,14 @@ class ConvexPolytope:
         return c
 
     @cached_property
+    def incidence(self) -> np.ndarray:
+        """(V, F) booleans, true where a vertex lies on a facet.  Computed
+        once per body, read-only."""
+        active = _incidence(self._vertices, self._normals, self._offsets)
+        active.flags.writeable = False
+        return active
+
+    @cached_property
     def diameter(self) -> float:
         v = self._vertices
         d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
@@ -245,11 +256,11 @@ class ConvexPolytope:
     def _check_structure(self) -> None:
         """Rank, facet support, vertex extremality and distinct vertices:
         all of the proof but the hull comparison."""
-        a, b, v = self._normals, self._offsets, self._vertices
+        a, v = self._normals, self._vertices
         n = self.dim
         if np.linalg.matrix_rank(v - v[0], tol=_RANK_TOL) < n:
             raise InvalidBodyError("vertex set is not full-dimensional")
-        active = v @ a.T - b >= -_incidence_tol(v)  # (V, F)
+        active = self.incidence
         # Facet support: each facet carries at least n vertices spanning it.
         # The first facet that fails names the error.
         few = np.count_nonzero(active, axis=0) < n
@@ -297,6 +308,13 @@ def _incidence_tol(points: np.ndarray) -> float:
     """How far inside a facet's plane a point may lie and still be on the
     facet, in the incidence tests of a body's points against its facets."""
     return GEOM_TOL * _scale(points)
+
+
+def _incidence(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(P, F) booleans, true where a point lies on a facet: no farther
+    than :func:`_incidence_tol` inside its plane.  The one incidence test
+    of the package."""
+    return points @ a.T - b >= -_incidence_tol(points)
 
 
 def _subset_chunks(k: int, r: int):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ehzcap.capacity
+import ehzcap.geometry
 from ehzcap.bodies import named_body, perturbed_body, random_polygon
 from ehzcap.capacity import (
     VALUE_TIE_TOL,
@@ -34,7 +35,10 @@ from ehzcap.curves import (
 )
 from ehzcap.errors import (
     CurveCollapseError,
+    EhzcapError,
+    GridTooCoarseError,
     InvalidBodyError,
+    InvalidParameterError,
     LpNumericalError,
     OriginNotInteriorError,
 )
@@ -45,6 +49,7 @@ from ehzcap.geometry import (
     affine_image,
     chebyshev_center,
     negate,
+    polar,
     translate,
     _incidence_tol,
 )
@@ -631,6 +636,17 @@ class TestBestFirstSearch:
                         if a.indices == (0, 3))
         assert abs(_assignment_bounds(sq, sq, [opposite])[0] - 4.0) <= 1e-12
 
+    def test_cycle_bound_reads_the_tables_own_incidence(self, monkeypatch):
+        table, geometry = random_polygon(7, 1), random_polygon(6, 2)
+        expected = _solve_side(table, geometry).value
+        assert table.incidence.shape == (7, 7)  # built with the table
+
+        def refuse(*args):
+            raise AssertionError("incidence computed again")
+
+        monkeypatch.setattr(ehzcap.geometry, "_incidence", refuse)
+        assert _solve_side(table, geometry).value == expected
+
     @pytest.mark.parametrize("table, geometry, counts", [
         (square, square, (2, 2, 2)),
         (lambda: random_polygon(8, 2), lambda: random_polygon(8, 3),
@@ -884,6 +900,38 @@ class TestBruteForceOracle:
         with pytest.raises(ValueError):
             brute_force_oracle(square(), square(), 0.25, m_max=7)
 
+    @pytest.mark.parametrize("step, m_max", [
+        (0.0, None), (-1.0, None), (float("nan"), None), (0.25, 1),
+        (0.25, 4)])
+    def test_bad_parameters_are_package_errors(self, step, m_max):
+        with pytest.raises(InvalidParameterError) as info:
+            brute_force_oracle(square(), square(), step, m_max=m_max)
+        assert isinstance(info.value, EhzcapError)
+        assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("body, points, value", [
+        (lambda: random_polygon(6, 0), 35, 2.029828571428572),
+        (lambda: named_body("triangle"), 14, 2.0),
+    ], ids=["6-gon", "triangle"])
+    @pytest.mark.parametrize("scale", [1e7, 1e8])
+    def test_scaled_table_gives_the_unscaled_grid_and_value(
+            self, body, points, value, scale):
+        # The facet corners and the inside filter scale with the body, so
+        # the grid at scale s and step 0.25 s is the unscaled grid times s.
+        table = affine_image(body(), scale)
+        assert len(boundary_grid(body(), 0.25)) == points
+        assert len(boundary_grid(table, 0.25 * scale)) == points
+        oracle = brute_force_oracle(table, square(), 0.25 * scale) / scale
+        assert abs(oracle - value) <= 1e-14
+
+    def test_scaled_table_past_the_pinned_tolerance_names_its_error(self):
+        # PINNED_TOL is absolute: at 1e10 no tuple of the triangle's grid
+        # reads as pinned.
+        table = affine_image(named_body("triangle"), 1e10)
+        assert len(boundary_grid(table, 0.25e10)) == 14
+        with pytest.raises(GridTooCoarseError):
+            brute_force_oracle(table, square(), 0.25e10)
+
     def test_grid_covers_boundary(self):
         pts = boundary_grid(square(), 0.25)
         assert len(pts) == 32
@@ -914,6 +962,30 @@ class TestBruteForceOracle:
         supports = {tuple(np.flatnonzero(row > GEOM_TOL)) for row in duals}
         assert len(duals) == 6
         assert len(supports) == 6
+
+
+@st.composite
+def symmetric_centered_polygons(draw):
+    """The hull of 2 to 5 random points and their negatives."""
+    rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
+    for _ in range(50):
+        half = rng.uniform(-2, 2, size=(int(rng.randint(2, 6)), 2))
+        try:
+            return ConvexPolytope.from_vertices(np.vstack([half, -half]))
+        except InvalidBodyError:
+            continue
+    return square()
+
+
+class TestSymmetricBodyAndPolar:
+    @given(symmetric_centered_polygons())
+    @settings(max_examples=20, deadline=None)
+    def test_capacity_of_body_times_polar_is_four(self, body):
+        # Artstein-Avidan, Karasev & Ostrover 2014: c(K x K polar) = 4 for
+        # every centrally symmetric convex body K centered at the origin.
+        result = ehz_capacity(body, polar(body))
+        assert result.quantities.consistent
+        assert abs(result.value - 4.0) <= 1e-9
 
 
 class TestIdentityReport:

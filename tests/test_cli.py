@@ -242,6 +242,21 @@ class TestOracleCommand:
         assert code == 0
         assert json.loads(out)["oracle"] == pytest.approx(4.0, abs=1e-9)
 
+    @pytest.mark.parametrize("command, extra", [
+        ("oracle", ["--oracle-step", "0"]),
+        ("oracle", ["--oracle-step", "nan"]),
+        ("oracle", ["--oracle-step", "0.25", "--m-max", "9"]),
+        ("capacity", ["--oracle-step", "-1"]),
+    ], ids=["oracle-step-0", "oracle-step-nan", "m-max-9",
+            "capacity-oracle-step-negative"])
+    def test_bad_parameters_exit_2(self, capsys, square_file, triangle_file,
+                                   command, extra):
+        code, out, err = run(capsys, [command, "--K", triangle_file,
+                                      "--T", square_file, *extra])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestStudyCommand:
     def test_continuity_csv(self, capsys, square_file):

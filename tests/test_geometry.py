@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import ehzcap.geometry
 from ehzcap import jsonio
-from ehzcap.bodies import random_polygon
+from ehzcap.bodies import named_body, named_body_names, random_polygon
 from ehzcap.errors import (
     DimensionMismatchError,
     InvalidBodyError,
@@ -15,6 +15,7 @@ from ehzcap.errors import (
     PointOutsideBodyError,
 )
 from ehzcap.geometry import (
+    GEOM_TOL,
     ConvexPolytope,
     affine_image,
     chebyshev_center,
@@ -427,6 +428,48 @@ class TestChebyshevCenter:
                             lambda lp: LpSolution(status="unbounded"))
         with pytest.raises(LpNumericalError, match="Chebyshev-center"):
             chebyshev_center(square())
+
+
+def _reference_incidence(body):
+    """The vertex-on-facet test written out: one product of the vertices
+    with the normals, the tolerance scaled by the largest vertex norm
+    beyond 1."""
+    v = body.vertices
+    tol = 1e-9 * max(1.0, float(np.max(np.linalg.norm(v, axis=1))))
+    return v @ body.normals.T - body.offsets >= -tol
+
+
+def _corpus_and_images():
+    for name in named_body_names():
+        body = named_body(name)
+        yield name, body
+        shift = [0.3] + [-0.7] * (body.dim - 1)
+        yield f"{name} translated", translate(body, shift)
+        yield f"{name} negated", negate(body)
+        if np.all(body.offsets > GEOM_TOL):
+            yield f"{name} polar", polar(body)
+        yield (f"{name} from representations",
+               ConvexPolytope.from_representations(
+                   body.normals, body.offsets, body.vertices))
+    for seed in range(5):
+        body = random_polygon(7, seed)
+        yield f"random polygon {seed}", body
+        yield f"random polygon {seed} at 1e8", affine_image(body, 1e8)
+
+
+class TestIncidence:
+    def test_matches_the_product_test_byte_for_byte(self):
+        for label, body in _corpus_and_images():
+            expected = _reference_incidence(body)
+            assert body.incidence.shape == (len(body.vertices),
+                                            body.num_facets)
+            assert body.incidence.tobytes() == expected.tobytes(), label
+
+    def test_is_read_only_and_computed_once(self):
+        body = square()
+        assert body.incidence is body.incidence
+        with pytest.raises(ValueError):
+            body.incidence[0, 0] = not body.incidence[0, 0]
 
 
 class TestDiameterAndCentroid:
