@@ -41,6 +41,15 @@ without the bound, so the value, the tie set and the curves are those of
 solving every kept assignment.  An ``LpNumericalError`` names the first
 failing program in bound order.
 
+The programs of one size on one side share all but their facet rows: the
+cost, the epigraph and table rows, and those rows' standard form and
+phase-1 start tableau are built once per size, on first use, and each
+program adds its facet rows (:class:`_AssignmentPrograms`).  Every array
+is the one a program built on its own would have, to the byte, so the
+pivots, the values and the errors are too.  A side that raises clears
+its traceback's frames, so a caller that keeps the error does not keep
+the side's programs with it.
+
 The result is cross-checked four ways: the same enumeration runs with the
 two bodies swapped, and on both sides a strong billiard trajectory of the
 optimal length is reconstructed and verified once, against the user's
@@ -94,7 +103,13 @@ from .geometry import (
     negate,
     translate,
 )
-from .lp import DUALITY_GAP_TOL, make_lp, solve_lp
+from .lp import (
+    DUALITY_GAP_TOL,
+    LinearProgram,
+    _SharedForm,
+    make_lp,
+    solve_lp,
+)
 
 VALUE_TIE_TOL = 1e-9
 LENGTH_AGREEMENT_TOL = 1e-8
@@ -171,8 +186,10 @@ def _margin_dual_vertices(table: ConvexPolytope) -> np.ndarray:
     rows = np.zeros((len(bases), f))
     rows[np.arange(len(bases))[:, None], bases] = np.clip(x, 0.0, None)
     rows = rows[np.lexsort(rows.T[::-1])]
-    _, first = np.unique(rows > GEOM_TOL, axis=0, return_index=True)
-    return rows[np.sort(first)]
+    first = {}
+    for k, key in enumerate(np.packbits(rows > GEOM_TOL, axis=1)):
+        first.setdefault(key.tobytes(), k)
+    return rows[list(first.values())]
 
 
 def enumerate_assignments(table: ConvexPolytope) -> tuple[FacetAssignment, ...]:
@@ -229,8 +246,75 @@ class AssignmentSolution:
     momenta: np.ndarray
 
 
+class _AssignmentPrograms:
+    """The assignment programs of one side: a table and a length body.
+
+    A program of m facets has 2 m n + m columns and minimizes the sum of
+    its m epigraph scalars over m V_T epigraph rows and m F table rows,
+    which depend on m alone; only its m facet rows name the facets.  So
+    the cost, those rows and their standard form (an
+    :class:`~ehzcap.lp._SharedForm`) are built once per size, on first
+    use, and each program adds its facet rows.  The programs are the ones
+    built one at a time, and solve with the same bytes.
+    """
+
+    def __init__(self, table: ConvexPolytope, length_body: ConvexPolytope):
+        if table.dim != length_body.dim:
+            raise DimensionMismatchError(
+                "table and length body dimensions differ")
+        if np.any(length_body.offsets <= GEOM_TOL):
+            raise OriginNotInteriorError(
+                "length body must contain the origin in its interior")
+        self.table = table
+        self.w = length_body.vertices
+        self._forms = {}
+
+    def program(self, idx: tuple[int, ...]) -> LinearProgram:
+        """The program of the facets ``idx`` in their cyclic order."""
+        m = len(idx)
+        n = self.table.dim
+        form = self._forms.get(m)
+        if form is None:
+            form = self._forms[m] = self._shared_form(m)
+        facets = list(idx)
+        eq_rows = np.zeros((m, m * n + m))  # row j: facet j's normal at q_j
+        eq_rows[np.arange(m)[:, None], np.arange(m * n).reshape(m, n)] = (
+            self.table.normals[facets])
+        return form.program(eq_rows, self.table.offsets[facets])
+
+    def _shared_form(self, m: int) -> _SharedForm:
+        table, w = self.table, self.w
+        n = table.dim
+        v = w.shape[0]
+        nvars = m * n + m
+        cost = np.zeros(nvars)
+        cost[m * n:] = 1.0
+        ub_rows = []
+        ub_rhs = []
+        for j in range(m):
+            jn = (j + 1) % m
+            block = np.zeros((v, nvars))
+            block[:, jn * n:(jn + 1) * n] = w
+            block[:, j * n:(j + 1) * n] -= w
+            block[:, m * n + j] = -1.0
+            ub_rows.append(block)
+            ub_rhs.append(np.zeros(v))
+        for j in range(m):
+            block = np.zeros((table.num_facets, nvars))
+            block[:, j * n:(j + 1) * n] = table.normals
+            ub_rows.append(block)
+            ub_rhs.append(table.offsets)
+        base = make_lp(cost, a_ub=np.vstack(ub_rows),
+                       b_ub=np.concatenate(ub_rhs))
+        for arr in (base.c, base.a_ub, base.b_ub):
+            arr.flags.writeable = False
+        return _SharedForm(base, n_eq=m)
+
+
 def solve_assignment(table: ConvexPolytope, length_body: ConvexPolytope,
-                     assignment: FacetAssignment) -> AssignmentSolution:
+                     assignment: FacetAssignment, *,
+                     _programs: _AssignmentPrograms | None = None,
+                     ) -> AssignmentSolution:
     """Shortest closed curve inside the table touching the assigned facets.
 
     One linear program: points q_j constrained to the table and to their
@@ -244,12 +328,14 @@ def solve_assignment(table: ConvexPolytope, length_body: ConvexPolytope,
     q_{j+1} - q_j exposes, and stationarity in the points makes each kick
     p_j - p_{j-1} a combination of table normals.  These are the two bounce
     laws, which ``verify_strong`` checks.
+
+    ``_programs`` is the side's :class:`_AssignmentPrograms`, which
+    :func:`_solve_side` passes so that programs of one size share their
+    standard form; without it the call builds its own.
     """
-    if table.dim != length_body.dim:
-        raise DimensionMismatchError("table and length body dimensions differ")
-    if np.any(length_body.offsets <= GEOM_TOL):
-        raise OriginNotInteriorError(
-            "length body must contain the origin in its interior")
+    programs = _programs
+    if programs is None:
+        programs = _AssignmentPrograms(table, length_body)
     idx = assignment.indices
     if len(set(idx)) != len(idx) or len(idx) < 2:
         raise InvalidBodyError("assignment indices must be distinct, >= 2")
@@ -257,37 +343,10 @@ def solve_assignment(table: ConvexPolytope, length_body: ConvexPolytope,
         raise InvalidBodyError("assignment indices out of range for the table")
     m = len(idx)
     n = table.dim
-    w = length_body.vertices
+    w = programs.w
     v = w.shape[0]
-    nvars = m * n + m
-
-    cost = np.zeros(nvars)
-    cost[m * n:] = 1.0
-    ub_rows = []
-    ub_rhs = []
-    for j in range(m):
-        jn = (j + 1) % m
-        block = np.zeros((v, nvars))
-        block[:, jn * n:(jn + 1) * n] = w
-        block[:, j * n:(j + 1) * n] -= w
-        block[:, m * n + j] = -1.0
-        ub_rows.append(block)
-        ub_rhs.append(np.zeros(v))
-    for j in range(m):
-        block = np.zeros((table.num_facets, nvars))
-        block[:, j * n:(j + 1) * n] = table.normals
-        ub_rows.append(block)
-        ub_rhs.append(table.offsets)
-    eq_rows = np.zeros((m, nvars))
-    eq_rhs = np.zeros(m)
-    for j, i in enumerate(idx):
-        eq_rows[j, j * n:(j + 1) * n] = table.normals[i]
-        eq_rhs[j] = table.offsets[i]
-
     try:
-        sol = solve_lp(make_lp(cost, a_ub=np.vstack(ub_rows),
-                               b_ub=np.concatenate(ub_rhs),
-                               a_eq=eq_rows, b_eq=eq_rhs))
+        sol = solve_lp(programs.program(idx))
     except LpNumericalError as exc:
         raise LpNumericalError(f"assignment program {idx}: {exc}") from exc
     if sol.status != "optimal":
@@ -518,12 +577,14 @@ def _solve_side(table: ConvexPolytope, geometry: ConvexPolytope) -> _SideSolve:
     if _centrally_symmetric(length_body):
         assignments = _one_orientation(assignments)
     bounds = _assignment_bounds(table, length_body, assignments)
+    programs = _AssignmentPrograms(table, length_body)
     solutions = []
     best = inf
     for k in np.argsort(bounds, kind="stable"):
         if bounds[k] > best + _PRUNE_MARGIN * (1.0 + abs(best)):
             break
-        solutions.append(solve_assignment(table, length_body, assignments[k]))
+        solutions.append(solve_assignment(table, length_body, assignments[k],
+                                          _programs=programs))
         best = min(best, solutions[-1].value)
     tie = VALUE_TIE_TOL * (1.0 + abs(best))
     tied = sorted((s for s in solutions if s.value <= best + tie),
@@ -547,13 +608,36 @@ def _solve_sides(pairs):
     A pair whose bodies repeat the bytes of an earlier pair's reuses that
     solve.  Solves are bitwise deterministic, so the reuse is exact.  The
     memo lives as long as the generator, which is one public call.
+
+    A side that raises has the frames of its traceback, and of the
+    exceptions chained to it, cleared first: they hold the side's
+    assignments, programs and tableaux, which a caller that keeps the
+    error would otherwise keep too.  The message and the chain stay.
     """
     memo = {}
     for table, geometry in pairs:
         key = (_body_key(table), _body_key(geometry))
         if key not in memo:
-            memo[key] = _solve_side(table, geometry)
+            try:
+                memo[key] = _solve_side(table, geometry)
+            except Exception as exc:
+                _clear_frames(exc)
+                raise
         yield memo[key]
+
+
+def _clear_frames(exc: BaseException) -> None:
+    """Clear the finished frames of the tracebacks along an exception's
+    chain of causes and contexts."""
+    # Imported on the failure path only: the module holds about 100 KB,
+    # which every process importing the package would carry.
+    import traceback
+
+    seen = set()
+    while exc is not None and id(exc) not in seen:
+        seen.add(id(exc))
+        traceback.clear_frames(exc.__traceback__)
+        exc = exc.__cause__ or exc.__context__
 
 
 def _realize_billiard(table: ConvexPolytope, geometry: ConvexPolytope,
@@ -681,6 +765,24 @@ def boundary_grid(table: ConvexPolytope, step: float) -> np.ndarray:
     return _dedupe_rows(pts, tol=_incidence_tol(pts))
 
 
+def check_oracle_parameters(table: ConvexPolytope, grid_step: float,
+                            m_max: int | None = None) -> int:
+    """The tuple size bound :func:`brute_force_oracle` uses on this table,
+    ``dim + 1`` when ``m_max`` is None.  A step that is not positive (NaN
+    included) or a bound outside ``[2, dim + 1]`` raises
+    :class:`InvalidParameterError`."""
+    if not grid_step > 0:
+        raise InvalidParameterError(
+            f"grid step must be positive, got {grid_step}")
+    n = table.dim
+    if m_max is None:
+        m_max = n + 1
+    if not 2 <= m_max <= n + 1:
+        raise InvalidParameterError(
+            f"tuple size bound must be in [2, {n + 1}], got {m_max}")
+    return m_max
+
+
 def brute_force_oracle(table: ConvexPolytope, geometry: ConvexPolytope,
                        grid_step: float, m_max: int | None = None,
                        tol: float = PINNED_TOL) -> float:
@@ -694,17 +796,10 @@ def brute_force_oracle(table: ConvexPolytope, geometry: ConvexPolytope,
     (:func:`boundary_grid`) scales with the table: its facet corners are
     the table's incidence and its tolerances are the incidence tolerance.
     A step that is not positive (NaN included) or a tuple size bound
-    outside ``[2, dim + 1]`` raises :class:`InvalidParameterError`.
+    outside ``[2, dim + 1]`` raises :class:`InvalidParameterError`, as
+    :func:`check_oracle_parameters` checks them.
     """
-    if not grid_step > 0:
-        raise InvalidParameterError(
-            f"grid step must be positive, got {grid_step}")
-    n = table.dim
-    if m_max is None:
-        m_max = n + 1
-    if not 2 <= m_max <= n + 1:
-        raise InvalidParameterError(
-            f"tuple size bound must be in [2, {n + 1}], got {m_max}")
+    m_max = check_oracle_parameters(table, grid_step, m_max)
     length_body, _ = _centered_length_body(geometry)
     points = boundary_grid(table, grid_step)
     duals = _margin_dual_vertices(table)

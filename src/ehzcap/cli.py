@@ -17,7 +17,12 @@ from pathlib import Path
 from . import jsonio
 from .billiards import extract_dual, verify_strong, verify_weak
 from .bodies import generate_body, named_body_names, perturbed_body
-from .capacity import brute_force_oracle, capacity_identities, ehz_capacity
+from .capacity import (
+    brute_force_oracle,
+    capacity_identities,
+    check_oracle_parameters,
+    ehz_capacity,
+)
 from .curves import ClosedPolygonalCurve, translation_margin
 from .errors import EhzcapError, NotABilliardError
 from .geometry import hausdorff_distance
@@ -42,6 +47,8 @@ def _load_curve(path: str) -> ClosedPolygonalCurve:
 def _cmd_capacity(args) -> tuple[str, int]:
     table = _load_body(args.K)
     geometry = _load_body(args.T)
+    if args.oracle_step is not None:  # fail before the solve, not after it
+        check_oracle_parameters(table, args.oracle_step, args.m_max)
     started = time.perf_counter()
     result = ehz_capacity(table, geometry)
     timings = {"capacity_seconds": time.perf_counter() - started}

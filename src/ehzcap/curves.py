@@ -32,6 +32,7 @@ from .geometry import GEOM_TOL, ConvexPolytope, _clearance_lp, support_function
 PINNED_TOL = 1e-8
 _LENGTH_TIE_TOL = 1e-9  # subselection lengths this close to the best tie
 _MOMENTUM_MATCH_TOL = 1e-8  # a collinear point merges when its momenta agree
+ROTATION_MATCH_TOL = 1e-8  # max-abs vertex gap of curves one rotation apart
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +91,7 @@ class ClosedPolygonalCurve:
         return self.rotated_to_start(int(order[0]))
 
     def same_up_to_rotation(self, other: "ClosedPolygonalCurve",
-                            tol: float = 1e-8) -> bool:
+                            tol: float = ROTATION_MATCH_TOL) -> bool:
         if self.points.shape != other.points.shape:
             return False
         for k in range(self.num_points):

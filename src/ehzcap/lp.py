@@ -16,6 +16,13 @@ the same tableau bytes.  The same holds for the conversion to standard form
 and for the KKT validator, which the tests compare with reference copies
 on random programs with free and nonnegative variables.
 
+Programs that differ only in their equality rows can share the part of the
+standard form and of the phase-1 start tableau that the rest determines
+(:class:`_SharedForm`); each then fills in only its equality rows.  Every
+array is built by the same operations on the same operands as a program
+converted on its own, so a shared form keeps the bitwise guarantee: the
+same pivots, the same answer, the same errors.
+
 Problems are stated as
 
     minimize c.x  subject to  a_ub @ x <= b_ub,  a_eq @ x == b_eq,
@@ -32,7 +39,7 @@ count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,7 +60,9 @@ MAX_PIVOTS = 50_000
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """Immutable problem record.  Use :func:`make_lp` to build one."""
+    """Immutable problem record.  Use :func:`make_lp` to build one, or
+    :meth:`_SharedForm.program` for one of a family of programs that share
+    all but their equality rows."""
 
     c: np.ndarray
     a_ub: np.ndarray
@@ -61,6 +70,9 @@ class LinearProgram:
     a_eq: np.ndarray
     b_eq: np.ndarray
     nonneg: np.ndarray  # bool per variable: x >= 0 if set, else free
+    # The standard form shared with the rest of the program's family, or
+    # None for a program that :func:`solve_lp` converts on its own.
+    shared: _SharedForm | None = field(default=None, repr=False)
 
     @property
     def num_vars(self) -> int:
@@ -88,24 +100,32 @@ class LpSolution:
     iterations: int = 0
 
 
+def _block(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A constraint block over n variables as float arrays, (0, n) and (0,)
+    when absent."""
+    if a is None:
+        return np.zeros((0, n)), np.zeros(0)
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if a.shape != (b.shape[0], n):
+        raise ValueError(f"constraint block shape {a.shape} does not match "
+                         f"{b.shape[0]} rhs entries over {n} variables")
+    return a, b
+
+
+def _check_finite(*arrays) -> None:
+    for arr in arrays:
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("non-finite entries in LP data")
+
+
 def make_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=None) -> LinearProgram:
     """Assemble a LinearProgram, normalizing shapes and defaulting to free
     variables; ``nonneg`` flags the variables constrained to x >= 0."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
     n = c.shape[0]
-
-    def _block(a, b):
-        if a is None:
-            return np.zeros((0, n)), np.zeros(0)
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-        if a.shape != (b.shape[0], n):
-            raise ValueError(f"constraint block shape {a.shape} does not match "
-                             f"{b.shape[0]} rhs entries over {n} variables")
-        return a, b
-
-    a_ub, b_ub = _block(a_ub, b_ub)
-    a_eq, b_eq = _block(a_eq, b_eq)
+    a_ub, b_ub = _block(a_ub, b_ub, n)
+    a_eq, b_eq = _block(a_eq, b_eq, n)
     if nonneg is None:
         nonneg = np.zeros(n, dtype=bool)
     else:
@@ -113,25 +133,34 @@ def make_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=None) -> Linea
         if nonneg.shape != (n,):
             raise ValueError(f"nonneg mask of shape {nonneg.shape} given for "
                              f"{n} variables")
-    for arr in (c, a_ub, b_ub, a_eq, b_eq):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite entries in LP data")
+    _check_finite(c, a_ub, b_ub, a_eq, b_eq)
     nonneg.flags.writeable = False
     return LinearProgram(c, a_ub, b_ub, a_eq, b_eq, nonneg)
 
 
-class _StandardForm:
-    """min c.z s.t. A z = b, z >= 0, plus the bookkeeping to map z back to x.
+class _SharedForm:
+    """The standard form of a family of programs that share c, the
+    inequality rows and the variable kinds and have the same number of
+    equality rows, up to those rows.
 
-    A nonnegative variable is one column, z = x; a free variable splits as
-    x = z+ - z- over two adjacent columns.  Rows are the inequality rows,
-    each with its slack column, then the equality rows.
+    Standard form is min c.z s.t. A z = b, z >= 0.  A nonnegative variable
+    is one column, z = x; a free variable splits as x = z+ - z- over two
+    adjacent columns.  Rows are the inequality rows, each with its slack
+    column, then the equality rows; a row with negative rhs is negated,
+    and its sign is kept for the duals.  This holds the column map, the
+    cost, the inequality rows, and the phase-1 start tableau with those
+    rows in place: the initial basis (the slack of each unnegated
+    inequality row, an artificial for every other row) and the phase-1
+    cost row priced against the negated inequality rows.  Each program
+    adds its equality rows (:class:`_StandardForm`).
     """
 
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, base: LinearProgram, n_eq: int):
+        self.base = base
+        self.n_eq = n_eq
         free, nonneg = [], []  # (variable, column)
         col = 0
-        for k, pos in enumerate(lp.nonneg.tolist()):
+        for k, pos in enumerate(base.nonneg.tolist()):
             if pos:
                 nonneg.append((k, col))
                 col += 1
@@ -139,7 +168,7 @@ class _StandardForm:
                 free.append((k, col))
                 col += 2
         self.nz = col
-        self.num_vars = lp.num_vars
+        self.num_vars = base.num_vars
         # Per kind of variable, or None if there is none: (variables,
         # columns, second columns) for free ones, (variables, columns) for
         # nonnegative ones.
@@ -150,41 +179,65 @@ class _StandardForm:
         if nonneg:
             v, c = zip(*nonneg)
             self.nonneg = (_index(v), _index(c))
-        self.n_ub = n_ub = lp.a_ub.shape[0]
-
-        def _encode(a_rows):
-            """The columns of a_rows over z."""
-            out = np.zeros(a_rows.shape[:-1] + (self.nz,))
-            if self.free:
-                v, c, c2 = self.free
-                out[..., c] = a_rows[..., v]
-                out[..., c2] = -a_rows[..., v]
-            if self.nonneg:
-                v, c = self.nonneg
-                out[..., c] = a_rows[..., v]
-            return out
-
-        self.c_z = _encode(lp.c)
-        m = n_ub + lp.a_eq.shape[0]
-        self.ncols = self.nz + n_ub
-        amat = np.zeros((m, self.ncols))
-        amat[:n_ub, : self.nz] = _encode(lp.a_ub)
-        amat[:n_ub, self.nz :] = np.eye(n_ub)
-        amat[n_ub:, : self.nz] = _encode(lp.a_eq)
-        bvec = np.concatenate([lp.b_ub, lp.b_eq])
-
-        # Normalize rhs >= 0, remembering flips for dual signs.
-        self.row_sign = np.ones(m)
-        neg = bvec < 0
-        if neg.any():
-            amat[neg] *= -1.0
-            bvec[neg] *= -1.0
-            self.row_sign[neg] = -1.0
-
-        self.amat = amat
-        self.bvec = bvec
+        self.n_ub = n_ub = base.a_ub.shape[0]
+        self.c_z = self.encode(base.c)
+        self.ncols = ncols = self.nz + n_ub
         self.cost = np.concatenate([self.c_z, np.zeros(n_ub)])
-        self.row_kept = np.ones(m, dtype=bool)
+        amat, bvec, sign = self.rows(base.a_ub, base.b_ub)
+        amat[:, self.nz:] = np.eye(n_ub)
+        _flip(amat, bvec, sign)
+        self.amat_ub, self.bvec_ub, self.sign_ub = amat, bvec, sign
+
+        # The start tableau.  Pricing subtracts the artificial rows one at
+        # a time in row order, the inequality rows here and the equality
+        # rows in start_tableau; subtracting their sum would round
+        # differently.
+        m = n_ub + n_eq
+        negated = np.flatnonzero(sign < 0)
+        need_art = np.concatenate([negated, n_ub + np.arange(n_eq)])
+        self.n_art = n_art = need_art.size
+        self.basis = self.nz + np.arange(m)
+        self.basis[need_art] = ncols + np.arange(n_art)
+        tab = np.zeros((m + 1, ncols + n_art + 1))
+        tab[:n_ub, :ncols] = amat
+        tab[:n_ub, -1] = bvec
+        tab[need_art, ncols:-1] = np.eye(n_art)
+        if n_art:
+            tab[-1, ncols:-1] = 1.0
+            for r in negated:
+                tab[-1] -= tab[r]
+        self.tab = tab
+
+    def program(self, a_eq, b_eq) -> LinearProgram:
+        """The family's program with these equality rows, checked as
+        :func:`make_lp` checks them."""
+        a_eq, b_eq = _block(a_eq, b_eq, self.num_vars)
+        if a_eq.shape[0] != self.n_eq:
+            raise ValueError(f"{a_eq.shape[0]} equality rows given to a "
+                             f"family with {self.n_eq}")
+        _check_finite(a_eq, b_eq)
+        base = self.base
+        return LinearProgram(base.c, base.a_ub, base.b_ub, a_eq, b_eq,
+                             base.nonneg, shared=self)
+
+    def encode(self, a_rows: np.ndarray) -> np.ndarray:
+        """The columns of a_rows over z."""
+        out = np.zeros(a_rows.shape[:-1] + (self.nz,))
+        if self.free:
+            v, c, c2 = self.free
+            out[..., c] = a_rows[..., v]
+            out[..., c2] = -a_rows[..., v]
+        if self.nonneg:
+            v, c = self.nonneg
+            out[..., c] = a_rows[..., v]
+        return out
+
+    def rows(self, a_rows, b):
+        """Rows of A over all columns, with the slack columns zero, a copy
+        of their rhs and their signs, none negated yet."""
+        amat = np.zeros((a_rows.shape[0], self.ncols))
+        amat[:, : self.nz] = self.encode(a_rows)
+        return amat, b.copy(), np.ones(b.shape[0])
 
     def x_from_z(self, z: np.ndarray) -> np.ndarray:
         x = np.zeros(self.num_vars)
@@ -195,6 +248,49 @@ class _StandardForm:
             v, c = self.nonneg
             x[v] = 0.0 + z[c]  # the bound 0 plus z, which turns -0.0 into 0.0
         return x
+
+
+def _flip(amat, bvec, sign) -> None:
+    """Negate the rows with negative rhs, so every rhs is >= 0."""
+    neg = bvec < 0
+    if neg.any():
+        amat[neg] *= -1.0
+        bvec[neg] *= -1.0
+        sign[neg] = -1.0
+
+
+class _StandardForm:
+    """One program in standard form: its family's :class:`_SharedForm`
+    (derived here when the program has none) plus its equality rows."""
+
+    def __init__(self, lp: LinearProgram):
+        shared = lp.shared
+        if shared is None:
+            shared = _SharedForm(lp, lp.a_eq.shape[0])
+        self.shared = shared
+        self.nz, self.ncols, self.n_ub = shared.nz, shared.ncols, shared.n_ub
+        self.c_z, self.cost = shared.c_z, shared.cost
+        self.x_from_z = shared.x_from_z
+        amat, bvec, sign = shared.rows(lp.a_eq, lp.b_eq)
+        _flip(amat, bvec, sign)
+        self.amat_eq, self.bvec_eq = amat, bvec
+        self.amat = np.concatenate([shared.amat_ub, amat])
+        self.bvec = np.concatenate([shared.bvec_ub, bvec])
+        self.row_sign = np.concatenate([shared.sign_ub, sign])
+        self.row_kept = np.ones(self.amat.shape[0], dtype=bool)
+
+    def start_tableau(self) -> tuple[np.ndarray, np.ndarray]:
+        """The phase-1 start: a fresh tableau, its last row the phase-1
+        cost row, its last column the rhs, and its basis."""
+        shared = self.shared
+        tab = shared.tab.copy()
+        eq = slice(self.n_ub, self.n_ub + shared.n_eq)
+        tab[eq, : self.ncols] = self.amat_eq
+        tab[eq, -1] = self.bvec_eq
+        if shared.n_art:
+            for r in range(eq.start, eq.stop):
+                tab[-1] -= tab[r]
+        return tab, shared.basis.copy()
 
 
 def _index(values) -> slice | np.ndarray:
@@ -292,26 +388,10 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         z = np.zeros(ncols)
         return _finish(lp, sf, z, np.zeros(0), np.array([], dtype=int), 0)
 
-    # Initial basis: slack where possible (unflipped ub rows), else artificial.
-    has_slack = np.zeros(m, dtype=bool)
-    has_slack[: sf.n_ub] = sf.row_sign[: sf.n_ub] > 0
-    need_art = np.flatnonzero(~has_slack)
-    n_art = need_art.size
-    basis = sf.nz + np.arange(m)
-    basis[need_art] = ncols + np.arange(n_art)
-    tab = np.zeros((m + 1, ncols + n_art + 1))
-    tab[:m, :ncols] = amat
-    tab[:m, -1] = bvec
-    tab[need_art, ncols:-1] = np.eye(n_art)
-
+    tab, basis = sf.start_tableau()
     art_scale = 1.0 + float(np.max(bvec))
-    if n_art:
-        # Phase 1: minimize the sum of artificials.  Pricing subtracts the
-        # artificial rows one at a time in row order; subtracting their sum
-        # would round differently.
-        tab[-1, ncols:-1] = 1.0
-        for r in need_art:
-            tab[-1] -= tab[r]
+    if sf.shared.n_art:
+        # Phase 1: minimize the sum of artificials, from the start tableau.
         status, _ = _run_simplex(tab, basis, iterations)
         if status != "optimal":  # phase 1 is bounded below by zero
             raise LpNumericalError("phase 1 reported unbounded")

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import re
+import tracemalloc
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -1039,6 +1041,34 @@ class TestIdentityReport:
                            r"assignment program \(\d, \d, \d\) ended with "
                            "status unbounded"):
             capacity_identities(triangle(), square())
+
+    def test_caught_errors_do_not_hold_the_failing_side(self):
+        # Each error's traceback held the failing side's 576 assignments,
+        # programs and tableaux, about 300 KB per error, for as long as a
+        # caller kept it; the frames are cleared, the chain of causes kept.
+        table = perturbed_body(named_body("cube"), 1e-2, seed=0)
+        geometry = named_body("octahedron")
+        kept = []
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(20):
+                with pytest.raises(LpNumericalError) as info:
+                    capacity_identities(table, geometry)
+                kept.append(info.value)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 20 * 30_000
+        assert {str(e) for e in kept} == {"base: assignment program "
+                                          "(2, 4, 9, 8): phase 1 reported "
+                                          "unbounded"}
+        cause = kept[0].__cause__
+        assert str(cause) == ("assignment program (2, 4, 9, 8): phase 1 "
+                              "reported unbounded")
+        assert str(cause.__cause__) == "phase 1 reported unbounded"
 
 
 def _reference_identity_values(table, geometry):

@@ -257,6 +257,25 @@ class TestOracleCommand:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--oracle-step", "-1"], "grid step must be positive"),
+        (["--oracle-step", "0.25", "--m-max", "9"], "tuple size bound"),
+    ], ids=["oracle-step-negative", "m-max-9"])
+    def test_capacity_checks_oracle_parameters_before_the_solve(
+            self, capsys, monkeypatch, square_file, triangle_file, extra,
+            message):
+        import ehzcap.cli as cli_mod
+
+        def refuse(table, geometry):
+            raise AssertionError("solved before the parameters were checked")
+
+        monkeypatch.setattr(cli_mod, "ehz_capacity", refuse)
+        code, out, err = run(capsys, ["capacity", "--K", triangle_file,
+                                      "--T", square_file, *extra])
+        assert code == 2
+        assert out == ""
+        assert message in err
+
 
 class TestStudyCommand:
     def test_continuity_csv(self, capsys, square_file):
