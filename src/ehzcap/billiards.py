@@ -73,7 +73,10 @@ def verify_strong(table: ConvexPolytope, geometry: ConvexPolytope,
     of the table at q_{j+1}.  At a point x of a body that is the
     support-function equality <v, x> = h(v), so each law is decided by its
     gap h(v) - <v, x>, reported as its residual, against the bound
-    ``tol * (1 + |v|) * (1 + R)``, R the body's largest vertex norm.
+    ``tol * (1 + |v|) * (1 + R)``, R the body's largest vertex norm.  A
+    bounce with a point outside its body fails both laws and still reports
+    its gaps; a gap is negative when the point lies beyond the support in
+    the direction v.
     """
     p = np.atleast_2d(np.asarray(p, dtype=float))
     if p.shape != q.points.shape:
@@ -89,24 +92,24 @@ def verify_strong(table: ConvexPolytope, geometry: ConvexPolytope,
                                       q_next, tol)
     records = []
     for j in range(m):
-        if "outside" in (q_where[j], p_where[j], p_where[(j + 1) % m]):
-            records.append(BounceRecord(
-                index=j, q_on_boundary=False, p_on_boundary=False,
-                segment_in_momentum_cone=False, kick_in_position_cone=False,
-                segment_residual=float("inf"), kick_residual=float("inf"),
-                note="point-off-boundary: a point lies outside its body"))
-            continue
-        q_on, p_on = q_where[j] == "boundary", p_where[j] == "boundary"
+        inside = "outside" not in (q_where[j], p_where[j], p_where[(j + 1) % m])
+        q_on = inside and q_where[j] == "boundary"
+        p_on = inside and p_where[j] == "boundary"
+        if not inside:
+            note = "point-off-boundary: a point lies outside its body"
+        elif not (q_on and p_on):
+            note = "point-off-boundary: interior point has only the zero cone"
+        else:
+            note = ""
         records.append(BounceRecord(
             index=j,
             q_on_boundary=q_on,
             p_on_boundary=p_on,
-            segment_in_momentum_cone=bool(seg_ok[j]),
-            kick_in_position_cone=bool(kick_ok[j]),
+            segment_in_momentum_cone=inside and bool(seg_ok[j]),
+            kick_in_position_cone=inside and bool(kick_ok[j]),
             segment_residual=float(seg_gap[j]),
             kick_residual=float(kick_gap[j]),
-            note="" if q_on and p_on else
-            "point-off-boundary: interior point has only the zero cone"))
+            note=note))
     return BilliardPair(table=table, geometry=geometry, q=q, p=p,
                         records=tuple(records))
 

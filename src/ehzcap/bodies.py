@@ -130,10 +130,14 @@ def perturbed_body(base: ConvexPolytope, delta: float, seed: int = 0) -> ConvexP
     converse holds the same way.  Only a draw that loses a vertex has its
     distance computed: at a delta near the kernel's tolerances (the cube at
     1e-8), ``from_vertices`` can drop an extreme point and build a body
-    that misses a corner.  Zero delta returns the base itself.
+    that misses a corner.  Zero delta returns the base itself.  A delta
+    must be nonnegative, and ``2 * delta``, the width of the range the
+    offsets are drawn from, finite.
     """
-    if delta < 0:
-        raise InvalidBodyError("perturbation size must be nonnegative")
+    if not (delta >= 0 and np.isfinite(2 * delta)):
+        raise InvalidBodyError(
+            f"perturbation size must be nonnegative with 2 * delta finite, "
+            f"got {delta}")
     if delta == 0:
         return base
     rng = np.random.RandomState(seed)

@@ -768,12 +768,12 @@ def boundary_grid(table: ConvexPolytope, step: float) -> np.ndarray:
 def check_oracle_parameters(table: ConvexPolytope, grid_step: float,
                             m_max: int | None = None) -> int:
     """The tuple size bound :func:`brute_force_oracle` uses on this table,
-    ``dim + 1`` when ``m_max`` is None.  A step that is not positive (NaN
-    included) or a bound outside ``[2, dim + 1]`` raises
+    ``dim + 1`` when ``m_max`` is None.  A step that is not positive and
+    finite (NaN included) or a bound outside ``[2, dim + 1]`` raises
     :class:`InvalidParameterError`."""
-    if not grid_step > 0:
+    if not 0 < grid_step < inf:
         raise InvalidParameterError(
-            f"grid step must be positive, got {grid_step}")
+            f"grid step must be positive and finite, got {grid_step}")
     n = table.dim
     if m_max is None:
         m_max = n + 1

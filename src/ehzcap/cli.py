@@ -3,6 +3,8 @@
 Exit codes: 0 success, 1 verification-negative (a verify/dual query whose
 answer is "no"), 2 file/parse/validation failure, 3 identity-check failure
 (the independently computed capacity quantities disagree beyond tolerance).
+A number out of its range on the command line (a tolerance that is not
+finite and nonnegative, a seed outside [0, 2**32 - 1]) is a parse failure.
 Output is assembled in full before anything is written, so failure paths
 never leave partial output behind.
 """
@@ -10,6 +12,7 @@ never leave partial output behind.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -26,6 +29,22 @@ from .capacity import (
 from .curves import ClosedPolygonalCurve, translation_margin
 from .errors import EhzcapError, NotABilliardError
 from .geometry import hausdorff_distance
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number >= 0, got {text}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2**32:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in [0, 2**32 - 1], got {text}")
+    return value
 
 
 def _load_json(path: str):
@@ -197,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--K", required=True, metavar="PATH",
                      help="body JSON the curve is measured against")
     fit.add_argument("--q", required=True, metavar="PATH", help="curve JSON")
-    fit.add_argument("--tol", type=float, help="pinned decision tolerance")
+    fit.add_argument("--tol", type=_tolerance, help="pinned decision tolerance")
     _add_out(fit)
     fit.set_defaults(handler=_cmd_fit_check)
 
@@ -212,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="check the two-sided strong bounce laws")
     mode.add_argument("--weak", action="store_true",
                       help="check the one-sided vertex condition")
-    ver.add_argument("--tol", type=float,
+    ver.add_argument("--tol", type=_tolerance,
                      help="point-location tolerance; a strong law also holds when its support gap is at most tol (1 + |v|)(1 + R)")
     _add_out(ver)
     ver.set_defaults(handler=_cmd_verify)
@@ -222,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_body_pair(dual)
     dual.add_argument("--q", required=True, metavar="PATH",
                       help="position curve JSON")
-    dual.add_argument("--tol", type=float,
+    dual.add_argument("--tol", type=_tolerance,
                       help="tolerance for the boundary test of the curve "
                       "and for which table facets are active at a bounce")
     _add_out(dual)
@@ -242,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_body_pair(study)
     study.add_argument("--deltas", type=float, nargs="+", required=True,
                        help="perturbation sizes, one row each")
-    study.add_argument("--seed", type=int, default=0)
+    study.add_argument("--seed", type=_seed, default=0)
     _add_out(study)
     study.set_defaults(handler=_cmd_study)
 
@@ -257,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="base body JSON (family: perturbed)")
     gen.add_argument("--delta", type=float,
                      help="perturbation size (family: perturbed)")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
     _add_out(gen)
     gen.set_defaults(handler=_cmd_generate)
 

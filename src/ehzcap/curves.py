@@ -16,7 +16,6 @@ billiard trajectory, momenta and all, with the same loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -24,15 +23,12 @@ from .errors import (
     CurveCollapseError,
     DimensionMismatchError,
     LpNumericalError,
-    NoValidSubselectionError,
     OriginNotInteriorError,
 )
 from .geometry import GEOM_TOL, ConvexPolytope, _clearance_lp, support_function
 
 PINNED_TOL = 1e-8
-_LENGTH_TIE_TOL = 1e-9  # subselection lengths this close to the best tie
 _MOMENTUM_MATCH_TOL = 1e-8  # a collinear point merges when its momenta agree
-ROTATION_MATCH_TOL = 1e-8  # max-abs vertex gap of curves one rotation apart
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,16 +85,6 @@ class ClosedPolygonalCurve:
         """Rotate so the lexicographically smallest vertex comes first."""
         order = np.lexsort(self.points.T[::-1])
         return self.rotated_to_start(int(order[0]))
-
-    def same_up_to_rotation(self, other: "ClosedPolygonalCurve",
-                            tol: float = ROTATION_MATCH_TOL) -> bool:
-        if self.points.shape != other.points.shape:
-            return False
-        for k in range(self.num_points):
-            if np.max(np.abs(np.roll(self.points, -k, axis=0)
-                             - other.points)) <= tol:
-                return True
-        return False
 
     def __repr__(self) -> str:
         return f"ClosedPolygonalCurve({self.points.tolist()})"
@@ -249,44 +235,3 @@ def discrete_action(curve: ClosedPolygonalCurve, momenta) -> float:
             f"of shape {curve.points.shape}")
     return float(np.sum(curve.deltas * p))
 
-
-def reduce_vertex_count(body: ConvexPolytope, curve: ClosedPolygonalCurve,
-                        length_body: ConvexPolytope | None = None,
-                        tol: float = PINNED_TOL) -> ClosedPolygonalCurve:
-    """Shrink a pinned curve to at most dim+1 vertices, staying pinned.
-
-    Order-preserving vertex subselections never increase length measured by
-    any convex body (support-function subadditivity), and among those of
-    size dim+1 at least one stays pinned when the input is pinned.  Subsets
-    of the target size are tried first, then smaller ones.  When
-    ``length_body`` is given the shortest valid subselection is returned,
-    ties resolved by enumeration order; otherwise the first valid one.
-    """
-    if not translation_margin(body, curve, tol).pinned:
-        raise NoValidSubselectionError(
-            "input curve is not pinned in the body, nothing to preserve")
-    n = body.dim
-    m = curve.num_points
-    if m <= n + 1:
-        return curve
-    for size in range(n + 1, 1, -1):
-        found: list[ClosedPolygonalCurve] = []
-        for subset in combinations(range(m), size):
-            try:
-                candidate = canonicalize(curve.points[list(subset)])
-            except CurveCollapseError:
-                continue
-            if translation_margin(body, candidate, tol).pinned:
-                found.append(candidate)
-        if not found:
-            continue
-        if length_body is None:
-            return found[0]
-        lengths = [minkowski_length(length_body, c) for c in found]
-        best = min(lengths)
-        for c, val in zip(found, lengths):
-            if val <= best + _LENGTH_TIE_TOL:
-                return c
-    raise NoValidSubselectionError(
-        "no pinned subselection of any size exists; the pinned precondition "
-        "on the input curve must have failed")

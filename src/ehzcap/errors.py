@@ -31,10 +31,6 @@ class CurveCollapseError(EhzcapError):
     curve is left."""
 
 
-class NoValidSubselectionError(EhzcapError):
-    """No vertex subselection of the requested size keeps the curve pinned."""
-
-
 class NotABilliardError(EhzcapError):
     """No dual trajectory exists for the given curve."""
 

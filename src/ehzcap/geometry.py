@@ -31,7 +31,6 @@ assignment solver's cycle bound and the grid oracle all read that array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, islice
 
@@ -47,7 +46,6 @@ from .errors import (
 from .lp import make_lp, solve_lp
 
 GEOM_TOL = 1e-9
-MEMBERSHIP_TOL = 1e-8
 _RANK_TOL = 1e-9  # rank, determinant and singular-value cut-off
 _SAME_POINT_TOL = 1e-8  # max-abs distance at which two rows are one point
 _ZERO_NORM_TOL = 1e-12  # a normal or vertex shorter than this is zero
@@ -188,12 +186,6 @@ class ConvexPolytope:
     def __repr__(self) -> str:
         return (f"ConvexPolytope(dim={self.dim}, facets={self.num_facets}, "
                 f"vertices={len(self.vertices)})")
-
-    @cached_property
-    def centroid(self) -> np.ndarray:
-        c = self._vertices.mean(axis=0)
-        c.flags.writeable = False
-        return c
 
     @cached_property
     def incidence(self) -> np.ndarray:
@@ -487,18 +479,6 @@ def support_function(body: ConvexPolytope, direction) -> tuple[float, tuple[int,
     return h, arg
 
 
-def minkowski_functional(body: ConvexPolytope, point) -> float:
-    """Gauge of the body at a point: least s >= 0 with point in s * body.
-
-    Requires the origin strictly inside the body.
-    """
-    x = body._as_point(point)
-    if np.any(body.offsets <= GEOM_TOL):
-        raise OriginNotInteriorError("gauge needs the origin strictly inside "
-                                     "the body")
-    return float(max(0.0, np.max((body.normals @ x) / body.offsets)))
-
-
 def polar(body: ConvexPolytope) -> ConvexPolytope:
     """Polar dual {x : <x, y> <= 1 for all y in the body}.
 
@@ -518,62 +498,6 @@ def polar(body: ConvexPolytope) -> ConvexPolytope:
     new_normals, new_offsets = _sort_facets(new_normals, new_offsets)
     return ConvexPolytope._image(new_normals, new_offsets,
                                  _sort_rows(new_vertices))
-
-
-@dataclass(frozen=True, eq=False)
-class ConeMembership:
-    inside: bool
-    residual: float
-    coefficients: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class Cone:
-    """Finitely generated convex cone; ``generators`` may be empty (the
-    zero cone)."""
-
-    generators: np.ndarray
-
-    def membership(self, vector, tol: float = MEMBERSHIP_TOL) -> ConeMembership:
-        """LP check that ``vector`` is a nonnegative combination of the
-        generators, within residual ``tol * (1 + |vector|)``."""
-        v = np.atleast_1d(np.asarray(vector, dtype=float))
-        g = self.generators
-        n = v.shape[0]
-        bound = tol * (1.0 + float(np.linalg.norm(v)))
-        if g.size == 0:
-            res = float(np.sum(np.abs(v)))
-            return ConeMembership(res <= bound, res, np.zeros(0))
-        k = g.shape[0]
-        # minimize sum(e+ + e-) s.t. g.T lam + e+ - e- = v, lam, e >= 0
-        c = np.concatenate([np.zeros(k), np.ones(2 * n)])
-        a_eq = np.hstack([g.T, np.eye(n), -np.eye(n)])
-        lp = make_lp(c, a_eq=a_eq, b_eq=v, nonneg=[True] * (k + 2 * n))
-        sol = solve_lp(lp)
-        if sol.status != "optimal":
-            raise LpNumericalError(
-                f"cone-membership program ended with status {sol.status}; it "
-                "is feasible and bounded below by construction")
-        res = float(sol.objective)
-        return ConeMembership(res <= bound, res, sol.x[:k])
-
-    def contains(self, vector, tol: float = MEMBERSHIP_TOL) -> bool:
-        return self.membership(vector, tol).inside
-
-
-def normal_cone(body: ConvexPolytope, point, tol: float = GEOM_TOL) -> Cone:
-    """Outward normal cone at a point of the body.
-
-    Generated by the active facet normals; the zero cone at interior points.
-    Raises for points outside the body.
-    """
-    x = body._as_point(point)
-    where = body.locate(x, tol)
-    if where == "outside":
-        raise PointOutsideBodyError(f"point {x.tolist()} lies outside the body")
-    if where == "interior":
-        return Cone(np.zeros((0, body.dim)))
-    return Cone(body.normals[list(body.active_facets(x, tol))])
 
 
 # -- metric operations -------------------------------------------------------

@@ -375,18 +375,12 @@ def _run_simplex(tab: np.ndarray, basis: np.ndarray,
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve the LP; see module docstring for conventions and guarantees."""
+    """Solve the LP; see module docstring for conventions and guarantees.
+    The program needs at least one constraint row."""
     sf = _StandardForm(lp)
     amat, bvec = sf.amat, sf.bvec
     m, ncols = amat.shape
     iterations = [0]
-
-    if m == 0:
-        # No constraints at all: optimal iff no improving column exists.
-        if np.any(sf.cost < -PIVOT_TOL):
-            return LpSolution(status="unbounded", iterations=0)
-        z = np.zeros(ncols)
-        return _finish(lp, sf, z, np.zeros(0), np.array([], dtype=int), 0)
 
     tab, basis = sf.start_tableau()
     art_scale = 1.0 + float(np.max(bvec))

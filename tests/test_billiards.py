@@ -26,11 +26,11 @@ from ehzcap.errors import (
 from ehzcap.geometry import (
     ConvexPolytope,
     negate,
-    normal_cone,
     support_function,
 )
 from ehzcap.lp import solve_lp
 from test_capacity import simplex_4d
+from test_lp import highs_normal_cone_contains
 
 
 def square():
@@ -127,12 +127,12 @@ class TestVerifyStrong:
         m = q.num_points
         for j, record in enumerate(pair.records):
             q_next = q.points[(j + 1) % m]
-            segment = normal_cone(geometry, p[j], CONE_TOL).membership(
-                q.deltas[j], CONE_TOL)
-            kick = normal_cone(table, q_next, CONE_TOL).membership(
-                -(p[(j + 1) % m] - p[j]), CONE_TOL)
-            assert record.segment_in_momentum_cone == segment.inside
-            assert record.kick_in_position_cone == kick.inside
+            segment = highs_normal_cone_contains(
+                geometry, p[j], q.deltas[j], CONE_TOL, CONE_TOL)
+            kick = highs_normal_cone_contains(
+                table, q_next, -(p[(j + 1) % m] - p[j]), CONE_TOL, CONE_TOL)
+            assert record.segment_in_momentum_cone == segment
+            assert record.kick_in_position_cone == kick
 
     def test_solves_no_lp(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -130,6 +130,41 @@ class TestValidationFailures:
         assert "--p" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit-check", "--K", "{K}", "--q", "{q}", "--tol", "nan"],
+    ["fit-check", "--K", "{K}", "--q", "{q}", "--tol", "-1"],
+    ["fit-check", "--K", "{K}", "--q", "{q}", "--tol", "inf"],
+    ["verify", "--weak", "--K", "{K}", "--T", "{T}", "--q", "{q}",
+     "--tol", "inf"],
+    ["verify", "--strong", "--K", "{K}", "--T", "{T}", "--q", "{q}",
+     "--p", "{q}", "--tol", "nan"],
+    ["dual", "--K", "{K}", "--T", "{T}", "--q", "{q}", "--tol", "nan"],
+    ["generate", "--family", "perturbed", "--base", "{K}", "--delta", "nan"],
+    ["generate", "--family", "perturbed", "--base", "{K}", "--delta", "inf"],
+    ["generate", "--family", "perturbed", "--base", "{K}",
+     "--delta", "1e308"],
+    ["generate", "--family", "random-polygon", "--k", "5", "--seed", "-1"],
+    ["generate", "--family", "random-polygon", "--k", "5",
+     "--seed", "4294967296"],
+    ["study", "continuity", "--K", "{K}", "--T", "{T}", "--deltas", "nan"],
+    ["study", "symmetry", "--K", "{K}", "--T", "{T}", "--deltas", "0.01",
+     "--seed", "-1"],
+    ["oracle", "--K", "{K}", "--T", "{T}", "--oracle-step", "inf"],
+], ids=["fit-check-tol-nan", "fit-check-tol-negative", "fit-check-tol-inf",
+        "verify-weak-tol-inf", "verify-strong-tol-nan", "dual-tol-nan",
+        "delta-nan", "delta-inf", "delta-1e308", "seed-negative",
+        "seed-2-to-the-32", "study-delta-nan", "study-seed-negative",
+        "oracle-step-inf"])
+def test_out_of_range_number_exits_2(capsys, work, square_file, argv):
+    _, put = work
+    q = put("q.json", {"points": [[-1.0, 0.0], [1.0, 0.0]]})
+    paths = {"K": square_file, "T": square_file, "q": q}
+    code, out, err = run(capsys, [a.format(**paths) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert any("error: " in line for line in err.splitlines())
+
+
 class TestFitCheck:
     def test_pinned_chord(self, capsys, work, square_file):
         _, put = work
@@ -186,6 +221,23 @@ class TestVerifyAndDual:
         report = json.loads(out)
         assert report["verified"] is False
         assert any(not r["passed"] for r in report["records"])
+
+    def test_strong_point_outside_body_reports_its_gaps(self, capsys, work):
+        _, put = work
+        q = put("q.json", {"points": [[-1.0, -1.0], [1.0, 1.0]]})
+        p = put("p.json", {"points": [[2.0, 0.0], [0.0, 0.0]]})
+        code, out, _ = run(capsys, ["verify", "--strong",
+                                    "--K", str(BODIES / "square.json"),
+                                    "--T", str(BODIES / "triangle.json"),
+                                    "--q", q, "--p", p])
+        assert code == 1
+        report = json.loads(out)
+        assert report["verified"] is False
+        first = report["records"][0]
+        assert (first["segment_residual"], first["kick_residual"]) == (-2.0,
+                                                                       0.0)
+        assert not any(r["passed"] for r in report["records"])
+        assert all("outside" in r["note"] for r in report["records"])
 
     def test_weak_pass(self, capsys, work, square_file):
         _, put = work

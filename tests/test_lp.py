@@ -8,8 +8,28 @@ from ehzcap import lp
 from ehzcap.bodies import named_body, perturbed_body, random_polygon
 from ehzcap.capacity import enumerate_assignments, solve_assignment
 from ehzcap.errors import LpNumericalError
-from ehzcap.geometry import chebyshev_center, translate
+from ehzcap.geometry import GEOM_TOL, chebyshev_center, translate
 from ehzcap.lp import make_lp, solve_lp
+
+
+def highs_normal_cone_contains(body, point, vector, tol, facet_tol=GEOM_TOL):
+    """Whether ``vector`` is a nonnegative combination of the normals of
+    ``body`` active at ``point`` (within ``facet_tol``), up to the residual
+    ``tol * (1 + |vector|)``.  The residual is the least l1 misfit, found by
+    HiGHS, so this reference does not depend on the package's simplex."""
+    v = np.asarray(vector, dtype=float)
+    g = body.normals[list(body.active_facets(point, facet_tol))]
+    bound = tol * (1.0 + float(np.linalg.norm(v)))
+    if g.size == 0:
+        return float(np.sum(np.abs(v))) <= bound
+    k, n = g.shape
+    # minimize sum(e+ + e-) s.t. g.T lam + e+ - e- = v, lam, e >= 0
+    c = np.concatenate([np.zeros(k), np.ones(2 * n)])
+    a_eq = np.hstack([g.T, np.eye(n), -np.eye(n)])
+    ref = scipy.optimize.linprog(c, A_eq=a_eq, b_eq=v, bounds=(0, None),
+                                 method="highs")
+    assert ref.status == 0
+    return ref.fun <= bound
 
 
 def test_bounded_single_variable_with_dual():
