@@ -90,7 +90,6 @@ from .errors import (
     InvalidBodyError,
     InvalidParameterError,
     LpNumericalError,
-    OriginNotInteriorError,
 )
 from .geometry import (
     GEOM_TOL,
@@ -99,9 +98,7 @@ from .geometry import (
     _dedupe_rows,
     _incidence_tol,
     _subset_chunks,
-    chebyshev_center,
     negate,
-    translate,
 )
 from .lp import (
     DUALITY_GAP_TOL,
@@ -121,6 +118,9 @@ _PRUNE_MARGIN = VALUE_TIE_TOL + DUALITY_GAP_TOL
 # Assignments whose cycle bounds are formed at once: each step of the
 # max-plus product holds a few (chunk, V_T, V_T) arrays.
 _BOUND_CHUNK = 4096
+# Most boundary grid points the oracle may ask for, counted before any grid
+# array is allocated.
+_MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,9 +262,6 @@ class _AssignmentPrograms:
         if table.dim != length_body.dim:
             raise DimensionMismatchError(
                 "table and length body dimensions differ")
-        if np.any(length_body.offsets <= GEOM_TOL):
-            raise OriginNotInteriorError(
-                "length body must contain the origin in its interior")
         self.table = table
         self.w = length_body.vertices
         self._forms = {}
@@ -428,25 +425,9 @@ class _SideSolve:
 
     value: float
     tied: tuple[AssignmentSolution, ...]
-    length_body: ConvexPolytope
-    length_shift: np.ndarray
     enumerated: int
     kept: int
     solved: int
-
-
-def _centered_length_body(body: ConvexPolytope):
-    """Translate the body so the origin is interior, if it is not already.
-
-    Lengths of closed curves are unchanged because segment differences sum
-    to zero around the curve.
-    """
-    if np.all(body.offsets > GEOM_TOL):
-        return body, np.zeros(body.dim)
-    center, radius = chebyshev_center(body)
-    if radius <= GEOM_TOL:
-        raise InvalidBodyError("length body has empty interior")
-    return translate(body, -center), center
 
 
 def _centrally_symmetric(body: ConvexPolytope) -> bool:
@@ -546,8 +527,8 @@ def _solve_side(table: ConvexPolytope, geometry: ConvexPolytope) -> _SideSolve:
     """Minimum over the table's facet assignments, in three stages.
 
     Enumerate the assignments on minimal supports; filter, solving only one
-    orientation of each facet cycle when the centered length body is
-    centrally symmetric (a reversed curve then keeps its length, see the
+    orientation of each facet cycle when the length body is centrally
+    symmetric (a reversed curve then keeps its length, see the
     module docstring); solve the kept assignments best-first.  Each kept
     assignment is bounded from below by its cycle bound
     (:func:`_assignment_bounds`), the assignments are solved in ascending
@@ -571,26 +552,24 @@ def _solve_side(table: ConvexPolytope, geometry: ConvexPolytope) -> _SideSolve:
     that strictly contains a minimal support and sorts first; that
     assignment is not enumerated, so ``tied[0]`` can differ from it.
     """
-    length_body, shift = _centered_length_body(geometry)
     assignments = enumerate_assignments(table)
     enumerated = len(assignments)
-    if _centrally_symmetric(length_body):
+    if _centrally_symmetric(geometry):
         assignments = _one_orientation(assignments)
-    bounds = _assignment_bounds(table, length_body, assignments)
-    programs = _AssignmentPrograms(table, length_body)
+    bounds = _assignment_bounds(table, geometry, assignments)
+    programs = _AssignmentPrograms(table, geometry)
     solutions = []
     best = inf
     for k in np.argsort(bounds, kind="stable"):
         if bounds[k] > best + _PRUNE_MARGIN * (1.0 + abs(best)):
             break
-        solutions.append(solve_assignment(table, length_body, assignments[k],
+        solutions.append(solve_assignment(table, geometry, assignments[k],
                                           _programs=programs))
         best = min(best, solutions[-1].value)
     tie = VALUE_TIE_TOL * (1.0 + abs(best))
     tied = sorted((s for s in solutions if s.value <= best + tie),
                   key=lambda s: s.assignment.indices)
-    return _SideSolve(value=best, tied=tuple(tied), length_body=length_body,
-                      length_shift=shift, enumerated=enumerated,
+    return _SideSolve(value=best, tied=tuple(tied), enumerated=enumerated,
                       kept=len(assignments), solved=len(solutions))
 
 
@@ -647,11 +626,10 @@ def _realize_billiard(table: ConvexPolytope, geometry: ConvexPolytope,
     Per value-tied assignment, pairs the optimal touching curve with the
     momenta from the assignment program's own multipliers, cleans both with
     the loop :func:`canonicalize` cleans the minimizer with
-    (:func:`~ehzcap.curves._canonical_rows`) and shifts the momenta by
-    ``side.length_shift``; the first pair ``verify_strong`` accepts against
-    the user's bodies is kept.  Returns (curve, momenta, length, note); all
-    but the note are None when no tie verifies or the verified length is
-    not ``side.value``.
+    (:func:`~ehzcap.curves._canonical_rows`); the first pair
+    ``verify_strong`` accepts against the user's bodies is kept.  Returns
+    (curve, momenta, length, note); all but the note are None when no tie
+    verifies or the verified length is not ``side.value``.
     """
     notes = []
     for solution in side.tied:
@@ -662,13 +640,13 @@ def _realize_billiard(table: ConvexPolytope, geometry: ConvexPolytope,
         except CurveCollapseError as exc:
             notes.append(f"{label}: {exc}")
             continue
-        momenta = solution.momenta[carry] + side.length_shift
+        momenta = solution.momenta[carry]
         if verify_strong(table, geometry, curve, momenta).verified:
             break
         notes.append(f"{label}: multiplier momenta failed verification")
     else:
         return None, None, None, "; ".join(notes)
-    length = minkowski_length(side.length_body, curve)
+    length = minkowski_length(geometry, curve)
     if abs(length - side.value) > LENGTH_AGREEMENT_TOL * (1.0 + side.value):
         return None, None, None, (f"realized trajectory has length {length!r} "
                                   f"instead of {side.value!r}")
@@ -698,7 +676,7 @@ def ehz_capacity(table: ConvexPolytope, geometry: ConvexPolytope) -> CapacityRes
     if not certificate.pinned:
         raise LpNumericalError(f"{label}: minimizing curve is not pinned; "
                                "assignment certificates are inconsistent")
-    check = minkowski_length(primary.length_body, q_star)
+    check = minkowski_length(geometry, q_star)
     if (abs(check - primary.value)
             > LENGTH_AGREEMENT_TOL * (1.0 + abs(primary.value))):
         raise LpNumericalError(f"{label}: canonical minimizer changed "
@@ -759,7 +737,9 @@ def _facet_grid(body: ConvexPolytope, facet: int, step: float) -> np.ndarray:
 def boundary_grid(table: ConvexPolytope, step: float) -> np.ndarray:
     """Grid points covering the whole boundary of the body, sorted, each
     kept once: points within the incidence tolerance of the grid's scale
-    are one point."""
+    are one point.  A step :func:`check_oracle_parameters` refuses raises
+    :class:`InvalidParameterError` before any grid is built."""
+    check_oracle_parameters(table, step)
     pts = np.vstack([_facet_grid(table, i, step)
                      for i in range(table.num_facets)])
     return _dedupe_rows(pts, tol=_incidence_tol(pts))
@@ -769,12 +749,24 @@ def check_oracle_parameters(table: ConvexPolytope, grid_step: float,
                             m_max: int | None = None) -> int:
     """The tuple size bound :func:`brute_force_oracle` uses on this table,
     ``dim + 1`` when ``m_max`` is None.  A step that is not positive and
-    finite (NaN included) or a bound outside ``[2, dim + 1]`` raises
-    :class:`InvalidParameterError`."""
+    finite (NaN included), a step whose grid could exceed
+    ``_MAX_GRID_POINTS`` points, or a bound outside ``[2, dim + 1]`` raises
+    :class:`InvalidParameterError`.
+
+    A facet's grid spans at most the table's diameter along each of its
+    ``dim - 1`` axes, so it holds at most ``(ceil(diameter / step) + 1) **
+    (dim - 1)`` points; the count compares step and diameter, so it does
+    not change with the table's scale.
+    """
     if not 0 < grid_step < inf:
         raise InvalidParameterError(
             f"grid step must be positive and finite, got {grid_step}")
     n = table.dim
+    per_axis = ceil(min(table.diameter / grid_step, _MAX_GRID_POINTS)) + 1
+    if table.num_facets * per_axis ** (n - 1) > _MAX_GRID_POINTS:
+        raise InvalidParameterError(
+            f"grid step {grid_step} is too fine for this table: its boundary "
+            f"grid could exceed {_MAX_GRID_POINTS} points")
     if m_max is None:
         m_max = n + 1
     if not 2 <= m_max <= n + 1:
@@ -784,8 +776,7 @@ def check_oracle_parameters(table: ConvexPolytope, grid_step: float,
 
 
 def brute_force_oracle(table: ConvexPolytope, geometry: ConvexPolytope,
-                       grid_step: float, m_max: int | None = None,
-                       tol: float = PINNED_TOL) -> float:
+                       grid_step: float, m_max: int | None = None) -> float:
     """Min length over pinned tuples of boundary grid points, by brute force.
 
     Independent of the assignment machinery: pinnedness of each tuple is
@@ -795,16 +786,17 @@ def brute_force_oracle(table: ConvexPolytope, geometry: ConvexPolytope,
     result is always an upper bound for the capacity.  The grid
     (:func:`boundary_grid`) scales with the table: its facet corners are
     the table's incidence and its tolerances are the incidence tolerance.
-    A step that is not positive (NaN included) or a tuple size bound
-    outside ``[2, dim + 1]`` raises :class:`InvalidParameterError`, as
-    :func:`check_oracle_parameters` checks them.
+    A step that is not positive (NaN included) or too fine for the
+    table, or a tuple size bound outside ``[2, dim + 1]``, raises
+    :class:`InvalidParameterError`, as :func:`check_oracle_parameters`
+    checks them.  A tuple is pinned when its translation margin is at most
+    ``PINNED_TOL``.
     """
     m_max = check_oracle_parameters(table, grid_step, m_max)
-    length_body, _ = _centered_length_body(geometry)
     points = boundary_grid(table, grid_step)
     duals = _margin_dual_vertices(table)
     slack = table.offsets - points @ table.normals.T  # (G, F), >= -tol
-    w = length_body.vertices
+    w = geometry.vertices
 
     best = inf
     found_any = False
@@ -815,7 +807,7 @@ def brute_force_oracle(table: ConvexPolytope, geometry: ConvexPolytope,
             # per-facet worst slack over the tuple, then the dual reading of
             # the translation-margin program: min over weight vertices
             margins = (tuple_slack.min(axis=1) @ duals.T).min(axis=1)
-            pinned = margins <= tol
+            pinned = margins <= PINNED_TOL
             if not np.any(pinned):
                 continue
             found_any = True

@@ -64,6 +64,8 @@ def _load_curve(path: str) -> ClosedPolygonalCurve:
 
 
 def _cmd_capacity(args) -> tuple[str, int]:
+    if args.m_max is not None and args.oracle_step is None:
+        raise EhzcapError("capacity --m-max needs --oracle-step")
     table = _load_body(args.K)
     geometry = _load_body(args.T)
     if args.oracle_step is not None:  # fail before the solve, not after it

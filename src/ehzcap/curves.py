@@ -23,7 +23,6 @@ from .errors import (
     CurveCollapseError,
     DimensionMismatchError,
     LpNumericalError,
-    OriginNotInteriorError,
 )
 from .geometry import GEOM_TOL, ConvexPolytope, _clearance_lp, support_function
 
@@ -171,15 +170,12 @@ def minkowski_length(length_body: ConvexPolytope,
     """Total curve length measured by the support function of the body.
 
     Each segment q_j -> q_{j+1} contributes the support value of the body at
-    the segment direction; equivalently the gauge of the polar body at the
-    difference vector.  Requires the origin strictly inside the body so that
-    the gauge reading is defined.
+    the segment direction.  The body need not contain the origin: a
+    translate by c adds <c, q_{j+1} - q_j> per segment, and those terms sum
+    to zero around the closed curve.
     """
     if length_body.dim != curve.dim:
         raise DimensionMismatchError("curve and body dimensions differ")
-    if np.any(length_body.offsets <= GEOM_TOL):
-        raise OriginNotInteriorError(
-            "length body must contain the origin in its interior")
     return float(sum(support_function(length_body, d)[0] for d in curve.deltas))
 
 

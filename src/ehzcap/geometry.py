@@ -454,7 +454,7 @@ def _extreme_mask(a: np.ndarray, active: np.ndarray) -> np.ndarray:
     return _group_ranks(a, active) == a.shape[1]
 
 
-def _same_facet_sets(a1, b1, a2, b2, scale: float = 1.0) -> bool:
+def _same_facet_sets(a1, b1, a2, b2, scale: float) -> bool:
     """Whether every facet of each list has a twin in the other: normals
     within ``_SAME_POINT_TOL``, offsets within it times ``scale``."""
     if a1.shape != a2.shape:

@@ -32,17 +32,18 @@ def format_float(x: float) -> str:
     return text
 
 
-def dumps(value, indent: int = 2) -> str:
-    """Serialize to JSON with round-trip-exact floats."""
+def dumps(value) -> str:
+    """Serialize to JSON with round-trip-exact floats, indented two spaces
+    a level."""
     pieces: list[str] = []
-    _emit(value, pieces, indent, 0)
+    _emit(value, pieces, 0)
     pieces.append("\n")
     return "".join(pieces)
 
 
-def _emit(value, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _emit(value, out: list[str], level: int) -> None:
+    pad = "  " * (level + 1)
+    close_pad = "  " * level
     if isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -52,7 +53,7 @@ def _emit(value, out: list[str], indent: int, level: int) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             out.append(f"{pad}{json.dumps(key)}: ")
-            _emit(item, out, indent, level + 1)
+            _emit(item, out, level + 1)
             out.append(",\n" if i + 1 < len(value) else "\n")
         out.append(close_pad + "}")
     elif isinstance(value, (list, tuple)):
@@ -62,7 +63,7 @@ def _emit(value, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for i, item in enumerate(value):
             out.append(pad)
-            _emit(item, out, indent, level + 1)
+            _emit(item, out, level + 1)
             out.append(",\n" if i + 1 < len(value) else "\n")
         out.append(close_pad + "]")
     elif isinstance(value, bool) or value is None:
@@ -74,7 +75,7 @@ def _emit(value, out: list[str], indent: int, level: int) -> None:
     elif isinstance(value, str):
         out.append(json.dumps(value))
     elif isinstance(value, np.ndarray):
-        _emit(value.tolist(), out, indent, level)
+        _emit(value.tolist(), out, level)
     else:
         raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
 

@@ -17,11 +17,11 @@ from ehzcap.capacity import (
     boundary_grid,
     brute_force_oracle,
     capacity_identities,
+    check_oracle_parameters,
     ehz_capacity,
     enumerate_assignments,
     solve_assignment,
     _assignment_bounds,
-    _centered_length_body,
     _centrally_symmetric,
     _margin_dual_vertices,
     _one_orientation,
@@ -42,7 +42,6 @@ from ehzcap.errors import (
     InvalidBodyError,
     InvalidParameterError,
     LpNumericalError,
-    OriginNotInteriorError,
 )
 from ehzcap.billiards import verify_strong, verify_weak
 from ehzcap.geometry import (
@@ -268,11 +267,10 @@ def _compare_with_superset_search(table, geometry):
         np.testing.assert_allclose(a.hull_weights,
                                    by_indices[a.indices].hull_weights,
                                    rtol=0, atol=1e-12)
-    length_body, _ = _centered_length_body(geometry)
-    if _centrally_symmetric(length_body):
+    if _centrally_symmetric(geometry):
         reference = _one_orientation(reference)
     full = _side_outcome(lambda: min(
-        solve_assignment(table, length_body, a).value for a in reference))
+        solve_assignment(table, geometry, a).value for a in reference))
     side = _side_outcome(lambda: _solve_side(table, geometry).value)
     return side, full, sizes
 
@@ -316,9 +314,8 @@ class TestMinimalSupports:
         indices = tuple(int(i) for i in named.group(1).split(", "))
         assignment = next(a for a in enumerate_assignments(table)
                           if a.indices == indices)
-        length_body, _ = _centered_length_body(octahedron())
         with pytest.raises(LpNumericalError) as info:
-            solve_assignment(table, length_body, assignment)
+            solve_assignment(table, octahedron(), assignment)
         assert str(info.value) == side
 
 
@@ -345,11 +342,15 @@ class TestSolveAssignment:
         out = solve_assignment(tri, square(), assignment)
         assert out.value == pytest.approx(2.0, abs=1e-9)
 
-    def test_length_body_needs_interior_origin(self):
+    def test_length_body_needs_no_interior_origin(self):
+        # The triangle has the origin at a vertex; a translate of the
+        # length body leaves every closed curve's length unchanged.
         sq = square()
-        assignment = enumerate_assignments(sq)[0]
-        with pytest.raises(OriginNotInteriorError):
-            solve_assignment(sq, triangle(), assignment)
+        inside = translate(triangle(), [-0.25, -0.25])
+        for assignment in enumerate_assignments(sq):
+            value = solve_assignment(sq, triangle(), assignment).value
+            expected = solve_assignment(sq, inside, assignment).value
+            assert abs(value - expected) <= 1e-12 * expected
 
     def test_bad_indices_rejected(self):
         with pytest.raises(InvalidBodyError):
@@ -438,9 +439,8 @@ class TestReversalFilter:
     @settings(max_examples=15, deadline=None)
     def test_filtered_side_matches_every_assignment(self, table, geometry):
         side = _solve_side(table, geometry)
-        length_body, _ = _centered_length_body(geometry)
-        assert _centrally_symmetric(length_body)
-        every = [solve_assignment(table, length_body, a)
+        assert _centrally_symmetric(geometry)
+        every = [solve_assignment(table, geometry, a)
                  for a in enumerate_assignments(table)]
         value = min(s.value for s in every)
         assert abs(side.value - value) <= 1e-12 * value
@@ -453,11 +453,10 @@ class TestReversalFilter:
 def _unpruned_side(table, geometry):
     """Stage 3 of a side without the bound: every kept assignment solved,
     in enumeration order.  Returns the minimum and the tie set."""
-    length_body, _ = _centered_length_body(geometry)
     assignments = enumerate_assignments(table)
-    if _centrally_symmetric(length_body):
+    if _centrally_symmetric(geometry):
         assignments = _one_orientation(assignments)
-    solutions = [solve_assignment(table, length_body, a) for a in assignments]
+    solutions = [solve_assignment(table, geometry, a) for a in assignments]
     value = min(s.value for s in solutions)
     tie = VALUE_TIE_TOL * (1.0 + abs(value))
     tied = sorted((s for s in solutions if s.value <= value + tie),
@@ -479,10 +478,9 @@ def _assert_matches_unpruned(table, geometry):
 
 def _assert_bounds_below_values(table, geometry):
     """Every assignment's bound is at most its value, up to rounding."""
-    length_body, _ = _centered_length_body(geometry)
     assignments = enumerate_assignments(table)
-    bounds = _assignment_bounds(table, length_body, assignments)
-    values = [solve_assignment(table, length_body, a).value
+    bounds = _assignment_bounds(table, geometry, assignments)
+    values = [solve_assignment(table, geometry, a).value
               for a in assignments]
     for a, bound, value in zip(assignments, bounds, values):
         assert bound <= value + 1e-12 * (1.0 + value), a.indices
@@ -513,12 +511,11 @@ def _assert_cycle_bounds_match_their_definition(table, geometry):
     """Every kept assignment's cycle bound is, up to rounding, the largest
     over vertex momentum sequences of sum_j min over facet i_j's vertices v
     of <w_{a_{j-1}} - w_{a_j}, v>, each sequence summed in a loop."""
-    length_body, _ = _centered_length_body(geometry)
     assignments = enumerate_assignments(table)
-    if _centrally_symmetric(length_body):
+    if _centrally_symmetric(geometry):
         assignments = _one_orientation(assignments)
-    bounds = _assignment_bounds(table, length_body, assignments)
-    w = length_body.vertices
+    bounds = _assignment_bounds(table, geometry, assignments)
+    w = geometry.vertices
     on_facet = [table.vertices[table.vertices @ a - b
                                >= -_incidence_tol(table.vertices)]
                 for a, b in zip(table.normals, table.offsets)]
@@ -533,12 +530,11 @@ def _assert_cycle_bounds_match_their_definition(table, geometry):
 def _assert_cycle_bounds_dominate_pair_bounds(table, geometry):
     """Every kept assignment's cycle bound is at least its largest pair
     bound, and equal to it on a 2-cycle, up to rounding."""
-    length_body, _ = _centered_length_body(geometry)
     assignments = enumerate_assignments(table)
-    if _centrally_symmetric(length_body):
+    if _centrally_symmetric(geometry):
         assignments = _one_orientation(assignments)
-    bounds = _assignment_bounds(table, length_body, assignments)
-    pair = _pair_bounds(table, length_body)
+    bounds = _assignment_bounds(table, geometry, assignments)
+    pair = _pair_bounds(table, geometry)
     for a, bound in zip(assignments, bounds):
         largest = max(pair[i, j] for i, j in combinations(a.indices, 2))
         tol = 1e-12 * (1.0 + abs(bound))
@@ -828,7 +824,7 @@ class TestCapacityResultContracts:
                              result.dual_curve)
         assert pair.verified
 
-    def test_offcenter_geometry_translates_internally(self):
+    def test_offcenter_geometry_realizes_against_the_given_body(self):
         shifted = translate(square(), (5.0, -3.0))
         result = ehz_capacity(square(), shifted)
         assert result.value == pytest.approx(4.0, abs=1e-6)
@@ -880,6 +876,23 @@ class TestScalingAndMonotonicity:
         base = ehz_capacity(triangle(), square()).value
         moved = ehz_capacity(translate(triangle(), (3.0, -7.0)), square()).value
         assert abs(base - moved) <= 1e-8 * (1 + base)
+
+    # A centered polygon's vertices lie within 4 sqrt 2 < 6 of the origin,
+    # so a translation of length 6 or more moves the origin out of it.
+    @given(centered_polygons(), centered_polygons(),
+           st.floats(0, 2 * np.pi),
+           st.one_of(st.floats(0, 1), st.floats(6, 10)))
+    @settings(max_examples=15, deadline=None)
+    def test_translating_the_geometry_keeps_the_value(self, table, geometry,
+                                                      angle, radius):
+        t = radius * np.array([np.cos(angle), np.sin(angle)])
+        moved = translate(geometry, t)
+        if radius >= 6:
+            assert moved.locate(np.zeros(2)) == "outside"
+        base = ehz_capacity(table, geometry)
+        result = ehz_capacity(table, moved)
+        assert base.quantities.consistent and result.quantities.consistent
+        assert abs(result.value - base.value) <= 1e-9 * base.value
 
 
 class TestBruteForceOracle:
@@ -933,6 +946,29 @@ class TestBruteForceOracle:
         assert len(boundary_grid(table, 0.25e10)) == 14
         with pytest.raises(GridTooCoarseError):
             brute_force_oracle(table, square(), 0.25e10)
+
+    @pytest.mark.parametrize("step", [1e-300, 1e-9])
+    def test_too_fine_a_step_is_refused_before_the_grid(self, monkeypatch,
+                                                        step):
+        def refuse(body, facet, step):
+            raise AssertionError("grid built before the step was checked")
+
+        monkeypatch.setattr(ehzcap.capacity, "_facet_grid", refuse)
+        for call in (lambda: boundary_grid(triangle(), step),
+                     lambda: brute_force_oracle(triangle(), square(), step)):
+            with pytest.raises(InvalidParameterError, match="too fine"):
+                call()
+
+    def test_grid_size_bound_is_scale_free(self):
+        # The triangle's diameter is sqrt 2 and it has 3 facets, so a step
+        # of sqrt 2 / 333332 gives at most 3 * 333333 points, and one a
+        # little finer more than 10**6.
+        for scale in (1.0, 1e-6, 1e6):
+            table = affine_image(triangle(), scale)
+            step = scale * np.sqrt(2.0) / 333332 * (1 + 1e-9)
+            assert check_oracle_parameters(table, step) == 3
+            with pytest.raises(InvalidParameterError):
+                check_oracle_parameters(table, step / 1.01)
 
     def test_grid_covers_boundary(self):
         pts = boundary_grid(square(), 0.25)

@@ -298,9 +298,15 @@ class TestOracleCommand:
         ("oracle", ["--oracle-step", "0"]),
         ("oracle", ["--oracle-step", "nan"]),
         ("oracle", ["--oracle-step", "0.25", "--m-max", "9"]),
+        ("oracle", ["--oracle-step", "1e-300"]),
+        ("oracle", ["--oracle-step", "1e-9"]),
         ("capacity", ["--oracle-step", "-1"]),
+        ("capacity", ["--oracle-step", "1e-9"]),
+        ("capacity", ["--m-max", "2"]),
     ], ids=["oracle-step-0", "oracle-step-nan", "m-max-9",
-            "capacity-oracle-step-negative"])
+            "oracle-step-1e-300", "oracle-step-1e-9",
+            "capacity-oracle-step-negative", "capacity-oracle-step-1e-9",
+            "capacity-m-max-without-oracle-step"])
     def test_bad_parameters_exit_2(self, capsys, square_file, triangle_file,
                                    command, extra):
         code, out, err = run(capsys, [command, "--K", triangle_file,
@@ -312,7 +318,10 @@ class TestOracleCommand:
     @pytest.mark.parametrize("extra, message", [
         (["--oracle-step", "-1"], "grid step must be positive"),
         (["--oracle-step", "0.25", "--m-max", "9"], "tuple size bound"),
-    ], ids=["oracle-step-negative", "m-max-9"])
+        (["--oracle-step", "1e-9"], "too fine"),
+        (["--m-max", "2"], "needs --oracle-step"),
+    ], ids=["oracle-step-negative", "m-max-9", "oracle-step-1e-9",
+            "m-max-without-oracle-step"])
     def test_capacity_checks_oracle_parameters_before_the_solve(
             self, capsys, monkeypatch, square_file, triangle_file, extra,
             message):

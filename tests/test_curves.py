@@ -16,7 +16,6 @@ from ehzcap.errors import (
     CurveCollapseError,
     DimensionMismatchError,
     LpNumericalError,
-    OriginNotInteriorError,
 )
 from ehzcap.geometry import GEOM_TOL, ConvexPolytope, affine_image
 from ehzcap.lp import LpSolution
@@ -124,10 +123,15 @@ class TestMinkowskiLength:
         doubled = back_and_forth().scaled(2.0)
         assert minkowski_length(square(), doubled) == pytest.approx(8.0)
 
-    def test_needs_interior_origin(self):
+    def test_needs_no_interior_origin(self):
+        # The origin lies on the shifted square's left edge.
         shifted = affine_image(square(), 1.0, [1, 0])
-        with pytest.raises(OriginNotInteriorError):
-            minkowski_length(shifted, back_and_forth())
+        inside = affine_image(square(), 1.0, [0.5, 0.25])
+        curve = ClosedPolygonalCurve(np.array([[-1.0, 0.0], [1.0, 0.5],
+                                               [0.0, 1.0]]))
+        expected = minkowski_length(inside, curve)
+        assert abs(minkowski_length(shifted, curve) - expected) <= (
+            1e-12 * expected)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
