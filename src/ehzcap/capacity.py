@@ -97,6 +97,7 @@ from .geometry import (
     _RANK_TOL,
     _dedupe_rows,
     _incidence_tol,
+    _scale,
     _subset_chunks,
     negate,
 )
@@ -790,12 +791,15 @@ def brute_force_oracle(table: ConvexPolytope, geometry: ConvexPolytope,
     table, or a tuple size bound outside ``[2, dim + 1]``, raises
     :class:`InvalidParameterError`, as :func:`check_oracle_parameters`
     checks them.  A tuple is pinned when its translation margin is at most
-    ``PINNED_TOL``.
+    ``PINNED_TOL`` times the table's scale (the largest vertex norm beyond
+    1): the margins are averages of facet slacks, in the table's units, so
+    the pinned tolerance scales with the table as the grid does.
     """
     m_max = check_oracle_parameters(table, grid_step, m_max)
     points = boundary_grid(table, grid_step)
     duals = _margin_dual_vertices(table)
     slack = table.offsets - points @ table.normals.T  # (G, F), >= -tol
+    pinned_tol = PINNED_TOL * _scale(table.vertices)
     w = geometry.vertices
 
     best = inf
@@ -807,7 +811,7 @@ def brute_force_oracle(table: ConvexPolytope, geometry: ConvexPolytope,
             # per-facet worst slack over the tuple, then the dual reading of
             # the translation-margin program: min over weight vertices
             margins = (tuple_slack.min(axis=1) @ duals.T).min(axis=1)
-            pinned = margins <= PINNED_TOL
+            pinned = margins <= pinned_tol
             if not np.any(pinned):
                 continue
             found_any = True

@@ -70,20 +70,10 @@ class ClosedPolygonalCurve:
         """Cyclic successive differences q_{j+1} - q_j, one row per vertex."""
         return np.roll(self.points, -1, axis=0) - self.points
 
-    def translated(self, shift) -> "ClosedPolygonalCurve":
-        t = np.asarray(shift, dtype=float)
-        return ClosedPolygonalCurve(self.points + t)
-
-    def scaled(self, factor: float) -> "ClosedPolygonalCurve":
-        return ClosedPolygonalCurve(factor * self.points)
-
-    def rotated_to_start(self, index: int) -> "ClosedPolygonalCurve":
-        return ClosedPolygonalCurve(np.roll(self.points, -index, axis=0))
-
     def canonical_rotation(self) -> "ClosedPolygonalCurve":
         """Rotate so the lexicographically smallest vertex comes first."""
         order = np.lexsort(self.points.T[::-1])
-        return self.rotated_to_start(int(order[0]))
+        return ClosedPolygonalCurve(np.roll(self.points, -int(order[0]), axis=0))
 
     def __repr__(self) -> str:
         return f"ClosedPolygonalCurve({self.points.tolist()})"

@@ -213,9 +213,6 @@ class ConvexPolytope:
             return "interior"
         return "boundary"
 
-    def contains(self, point, tol: float = GEOM_TOL) -> bool:
-        return self.locate(point, tol) != "outside"
-
     def active_facets(self, point, tol: float = GEOM_TOL) -> tuple[int, ...]:
         """Indices of facets on which the point lies (point must be in the body)."""
         x = self._as_point(point)

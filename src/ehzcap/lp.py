@@ -16,12 +16,16 @@ the same tableau bytes.  The same holds for the conversion to standard form
 and for the KKT validator, which the tests compare with reference copies
 on random programs with free and nonnegative variables.
 
-Programs that differ only in their equality rows can share the part of the
-standard form and of the phase-1 start tableau that the rest determines
-(:class:`_SharedForm`); each then fills in only its equality rows.  Every
-array is built by the same operations on the same operands as a program
-converted on its own, so a shared form keeps the bitwise guarantee: the
-same pivots, the same answer, the same errors.
+Each program's standard form comes from its family's form
+(:class:`_SharedForm`): the part of the standard form and of the phase-1
+start tableau that all but the equality rows determine.  Programs that
+differ only in their equality rows share one form, and a program without
+a family gets a form of its own.  :meth:`_SharedForm.standard` fills in a
+program's equality rows and returns its rows, rhs and row signs and its
+phase-1 start tableau and basis.  Every array is built by the same
+operations on the same operands whether the form is shared or not, so a
+shared form keeps the bitwise guarantee: the same pivots, the same
+answer, the same errors.
 
 Problems are stated as
 
@@ -152,7 +156,7 @@ class _SharedForm:
     rows in place: the initial basis (the slack of each unnegated
     inequality row, an artificial for every other row) and the phase-1
     cost row priced against the negated inequality rows.  Each program
-    adds its equality rows (:class:`_StandardForm`).
+    adds its equality rows (:meth:`standard`).
     """
 
     def __init__(self, base: LinearProgram, n_eq: int):
@@ -183,24 +187,21 @@ class _SharedForm:
         self.c_z = self.encode(base.c)
         self.ncols = ncols = self.nz + n_ub
         self.cost = np.concatenate([self.c_z, np.zeros(n_ub)])
-        amat, bvec, sign = self.rows(base.a_ub, base.b_ub)
-        amat[:, self.nz:] = np.eye(n_ub)
-        _flip(amat, bvec, sign)
-        self.amat_ub, self.bvec_ub, self.sign_ub = amat, bvec, sign
+        self.amat_ub, self.bvec_ub, self.sign_ub = self.rows(
+            base.a_ub, base.b_ub, slacks=True)
 
         # The start tableau.  Pricing subtracts the artificial rows one at
         # a time in row order, the inequality rows here and the equality
-        # rows in start_tableau; subtracting their sum would round
-        # differently.
+        # rows in standard; subtracting their sum would round differently.
         m = n_ub + n_eq
-        negated = np.flatnonzero(sign < 0)
+        negated = np.flatnonzero(self.sign_ub < 0)
         need_art = np.concatenate([negated, n_ub + np.arange(n_eq)])
         self.n_art = n_art = need_art.size
         self.basis = self.nz + np.arange(m)
         self.basis[need_art] = ncols + np.arange(n_art)
         tab = np.zeros((m + 1, ncols + n_art + 1))
-        tab[:n_ub, :ncols] = amat
-        tab[:n_ub, -1] = bvec
+        tab[:n_ub, :ncols] = self.amat_ub
+        tab[:n_ub, -1] = self.bvec_ub
         tab[need_art, ncols:-1] = np.eye(n_art)
         if n_art:
             tab[-1, ncols:-1] = 1.0
@@ -220,6 +221,22 @@ class _SharedForm:
         return LinearProgram(base.c, base.a_ub, base.b_ub, a_eq, b_eq,
                              base.nonneg, shared=self)
 
+    def standard(self, a_eq, b_eq):
+        """The family's program with these equality rows in standard form:
+        its rows, rhs and row signs, and a fresh phase-1 start tableau (its
+        last row the phase-1 cost row, its last column the rhs) and basis."""
+        amat, bvec, sign = self.rows(a_eq, b_eq)
+        tab = self.tab.copy()
+        eq = slice(self.n_ub, self.n_ub + self.n_eq)
+        tab[eq, : self.ncols] = amat
+        tab[eq, -1] = bvec
+        if self.n_art:
+            for r in range(eq.start, eq.stop):
+                tab[-1] -= tab[r]
+        return (np.concatenate([self.amat_ub, amat]),
+                np.concatenate([self.bvec_ub, bvec]),
+                np.concatenate([self.sign_ub, sign]), tab, self.basis.copy())
+
     def encode(self, a_rows: np.ndarray) -> np.ndarray:
         """The columns of a_rows over z."""
         out = np.zeros(a_rows.shape[:-1] + (self.nz,))
@@ -232,12 +249,22 @@ class _SharedForm:
             out[..., c] = a_rows[..., v]
         return out
 
-    def rows(self, a_rows, b):
-        """Rows of A over all columns, with the slack columns zero, a copy
-        of their rhs and their signs, none negated yet."""
+    def rows(self, a_rows, b, slacks: bool = False):
+        """Rows of A over all columns, the slack columns the identity for
+        the inequality rows (``slacks``) and zero otherwise, with a copy of
+        their rhs and their signs; the rows with negative rhs are negated,
+        so every rhs is >= 0."""
         amat = np.zeros((a_rows.shape[0], self.ncols))
         amat[:, : self.nz] = self.encode(a_rows)
-        return amat, b.copy(), np.ones(b.shape[0])
+        if slacks:
+            amat[:, self.nz:] = np.eye(self.n_ub)
+        bvec, sign = b.copy(), np.ones(b.shape[0])
+        neg = bvec < 0
+        if neg.any():
+            amat[neg] *= -1.0
+            bvec[neg] *= -1.0
+            sign[neg] = -1.0
+        return amat, bvec, sign
 
     def x_from_z(self, z: np.ndarray) -> np.ndarray:
         x = np.zeros(self.num_vars)
@@ -248,49 +275,6 @@ class _SharedForm:
             v, c = self.nonneg
             x[v] = 0.0 + z[c]  # the bound 0 plus z, which turns -0.0 into 0.0
         return x
-
-
-def _flip(amat, bvec, sign) -> None:
-    """Negate the rows with negative rhs, so every rhs is >= 0."""
-    neg = bvec < 0
-    if neg.any():
-        amat[neg] *= -1.0
-        bvec[neg] *= -1.0
-        sign[neg] = -1.0
-
-
-class _StandardForm:
-    """One program in standard form: its family's :class:`_SharedForm`
-    (derived here when the program has none) plus its equality rows."""
-
-    def __init__(self, lp: LinearProgram):
-        shared = lp.shared
-        if shared is None:
-            shared = _SharedForm(lp, lp.a_eq.shape[0])
-        self.shared = shared
-        self.nz, self.ncols, self.n_ub = shared.nz, shared.ncols, shared.n_ub
-        self.c_z, self.cost = shared.c_z, shared.cost
-        self.x_from_z = shared.x_from_z
-        amat, bvec, sign = shared.rows(lp.a_eq, lp.b_eq)
-        _flip(amat, bvec, sign)
-        self.amat_eq, self.bvec_eq = amat, bvec
-        self.amat = np.concatenate([shared.amat_ub, amat])
-        self.bvec = np.concatenate([shared.bvec_ub, bvec])
-        self.row_sign = np.concatenate([shared.sign_ub, sign])
-        self.row_kept = np.ones(self.amat.shape[0], dtype=bool)
-
-    def start_tableau(self) -> tuple[np.ndarray, np.ndarray]:
-        """The phase-1 start: a fresh tableau, its last row the phase-1
-        cost row, its last column the rhs, and its basis."""
-        shared = self.shared
-        tab = shared.tab.copy()
-        eq = slice(self.n_ub, self.n_ub + shared.n_eq)
-        tab[eq, : self.ncols] = self.amat_eq
-        tab[eq, -1] = self.bvec_eq
-        if shared.n_art:
-            for r in range(eq.start, eq.stop):
-                tab[-1] -= tab[r]
-        return tab, shared.basis.copy()
 
 
 def _index(values) -> slice | np.ndarray:
@@ -377,20 +361,19 @@ def _run_simplex(tab: np.ndarray, basis: np.ndarray,
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve the LP; see module docstring for conventions and guarantees.
     The program needs at least one constraint row."""
-    sf = _StandardForm(lp)
-    amat, bvec = sf.amat, sf.bvec
+    form = lp.shared or _SharedForm(lp, lp.a_eq.shape[0])
+    amat, bvec, row_sign, tab, basis = form.standard(lp.a_eq, lp.b_eq)
     m, ncols = amat.shape
+    kept = np.arange(m)  # the rows phase 1 keeps
     iterations = [0]
 
-    tab, basis = sf.start_tableau()
     art_scale = 1.0 + float(np.max(bvec))
-    if sf.shared.n_art:
+    if form.n_art:
         # Phase 1: minimize the sum of artificials, from the start tableau.
         status, _ = _run_simplex(tab, basis, iterations)
         if status != "optimal":  # phase 1 is bounded below by zero
             raise LpNumericalError("phase 1 reported unbounded")
-        phase1_obj = -tab[-1, -1]
-        if phase1_obj > INFEASIBILITY_TOL * art_scale:
+        if -tab[-1, -1] > INFEASIBILITY_TOL * art_scale:  # phase-1 optimum
             return LpSolution(status="infeasible", iterations=iterations[0])
         # Drive remaining artificials out of the basis or drop their rows.
         # A pivot on row r changes only basis[r], so the rows can be listed
@@ -408,46 +391,41 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             else:
                 drop_rows.append(r)
         if drop_rows:
-            keep = np.setdiff1d(np.arange(m), drop_rows)
-            kept_mask = np.zeros(m, dtype=bool)
-            kept_mask[keep] = True
-            sf.row_kept = kept_mask
-            tab = np.vstack([tab[keep], tab[-1:]])
-            basis = basis[keep]
-            m = len(keep)
+            kept = np.setdiff1d(kept, drop_rows)
+            tab = np.vstack([tab[kept], tab[-1:]])
+            basis = basis[kept]
     tab = np.hstack([tab[:, :ncols], tab[:, -1:]])  # drop artificial columns
 
     # Phase 2.  Basic columns are exact unit vectors, so pricing out a row
     # leaves the cost of every other basic column as it was: only rows whose
     # basic column costs something change the cost row.
-    tab[-1, :-1] = sf.cost
+    tab[-1, :-1] = form.cost
     tab[-1, -1] = 0.0
-    for r in np.flatnonzero(sf.cost[basis]):
+    for r in np.flatnonzero(form.cost[basis]):
         tab[-1] -= tab[-1, basis[r]] * tab[r]
     status, _ = _run_simplex(tab, basis, iterations)
     if status == "unbounded":
         return LpSolution(status="unbounded", iterations=iterations[0])
 
     # Recompute the solution from the terminal basis against original data.
-    kept = np.flatnonzero(sf.row_kept)
     bmat = amat[kept][:, basis]
     try:
         xb = np.linalg.solve(bmat, bvec[kept])
-        y_kept = np.linalg.solve(bmat.T, sf.cost[basis])
+        y_kept = np.linalg.solve(bmat.T, form.cost[basis])
     except np.linalg.LinAlgError as exc:
         raise LpNumericalError(f"terminal basis is singular: {exc}") from exc
     z = np.zeros(ncols)
     z[basis] = xb
-    y = np.zeros(sf.row_kept.shape[0])
+    y = np.zeros(m)
     y[kept] = y_kept
-    return _finish(lp, sf, z, y, basis, iterations[0])
+    return _finish(lp, form, row_sign, z, y, iterations[0])
 
 
-def _finish(lp: LinearProgram, sf: _StandardForm, z, y, basis, iters) -> LpSolution:
-    x = sf.x_from_z(z)
-    y_signed = y * sf.row_sign
-    mu = -y_signed[: sf.n_ub]
-    nu = -y_signed[sf.n_ub :]
+def _finish(lp: LinearProgram, form: _SharedForm, row_sign, z, y, iters) -> LpSolution:
+    x = form.x_from_z(z)
+    y_signed = y * row_sign
+    mu = -y_signed[: form.n_ub]
+    nu = -y_signed[form.n_ub :]
     _validate(lp, x, mu, nu)
     slack = lp.b_ub - lp.a_ub @ x if lp.a_ub.shape[0] else np.zeros(0)
     scale = 1.0 + (float(abs(lp.b_ub).max()) if lp.b_ub.size else 0.0)

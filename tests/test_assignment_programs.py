@@ -111,8 +111,8 @@ def _reference_solve_lp(lp_):
     if m == 0:
         if np.any(sf.cost < -lp.PIVOT_TOL):
             return lp.LpSolution(status="unbounded", iterations=0)
-        return lp._finish(lp_, sf, np.zeros(ncols), np.zeros(0),
-                          np.array([], dtype=int), 0)
+        return lp._finish(lp_, sf, sf.row_sign, np.zeros(ncols), np.zeros(0),
+                          0)
     tab, basis, n_art = _reference_start(sf)
     art_scale = 1.0 + float(np.max(bvec))
     if n_art:
@@ -157,7 +157,7 @@ def _reference_solve_lp(lp_):
     z[basis] = xb
     y = np.zeros(m)
     y[kept] = y_kept
-    return lp._finish(lp_, sf, z, y, basis, iterations[0])
+    return lp._finish(lp_, sf, sf.row_sign, z, y, iterations[0])
 
 
 def _reference_solve_assignment(table, length_body, assignment, **_):
@@ -297,12 +297,12 @@ def test_family_programs_match_programs_built_alone(seed):
         alone = make_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
                         nonneg=nonneg)
         shared = family.program(a_eq, b_eq)
-        sf = lp._StandardForm(shared)
+        amat, bvec, row_sign, tab, basis = family.standard(shared.a_eq,
+                                                           shared.b_eq)
         ref = _reference_standard_form(alone)
-        assert sf.amat.tobytes() == ref.amat.tobytes()
-        assert sf.bvec.tobytes() == ref.bvec.tobytes()
-        assert sf.row_sign.tobytes() == ref.row_sign.tobytes()
-        tab, basis = sf.start_tableau()
+        assert amat.tobytes() == ref.amat.tobytes()
+        assert bvec.tobytes() == ref.bvec.tobytes()
+        assert row_sign.tobytes() == ref.row_sign.tobytes()
         ref_tab, ref_basis, _ = _reference_start(ref)
         assert tab.tobytes() == ref_tab.tobytes()
         assert np.array_equal(basis, ref_basis)

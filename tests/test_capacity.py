@@ -37,6 +37,7 @@ from ehzcap.curves import (
 )
 from ehzcap.errors import (
     CurveCollapseError,
+    DimensionMismatchError,
     EhzcapError,
     GridTooCoarseError,
     InvalidBodyError,
@@ -54,6 +55,7 @@ from ehzcap.geometry import (
     translate,
     _incidence_tol,
 )
+import ehzcap.lp
 from ehzcap.lp import LpSolution, solve_lp
 
 
@@ -357,6 +359,27 @@ class TestSolveAssignment:
             solve_assignment(square(), square(),
                              FacetAssignment((0, 9), np.array([0.5, 0.5])))
 
+    def test_repeated_index_rejected(self):
+        with pytest.raises(InvalidBodyError, match="must be distinct"):
+            solve_assignment(square(), square(),
+                             FacetAssignment((0, 0), np.array([0.5, 0.5])))
+
+    def test_length_body_of_another_dimension_rejected(self):
+        with pytest.raises(DimensionMismatchError,
+                           match="table and length body dimensions differ"):
+            solve_assignment(square(), cube(),
+                             FacetAssignment((0, 1), np.array([0.5, 0.5])))
+
+    def test_pivot_limit_names_the_assignment(self, monkeypatch):
+        # The call builds its side's programs, so the program solved is a
+        # family program and hits the limit in the shared form's phase 1.
+        monkeypatch.setattr(ehzcap.lp, "MAX_PIVOTS", 1)
+        with pytest.raises(LpNumericalError,
+                           match=r"assignment program \(0, 1, 2\): pivot "
+                                 "limit exceeded"):
+            solve_assignment(triangle(), square(),
+                             FacetAssignment((0, 1, 2), np.ones(3) / 3))
+
     def test_solver_error_names_the_assignment(self, monkeypatch):
         def fail(lp):
             raise LpNumericalError("phase 1 reported unbounded")
@@ -383,7 +406,7 @@ class TestSolveAssignment:
         out = solve_assignment(cube(), cube(), winner)
         assert out.momenta.shape == out.points.shape
         for p in out.momenta:
-            assert cube().contains(p)
+            assert cube().locate(p) != "outside"
         rows, carry = _canonical_rows(out.points, out.momenta)
         assert verify_strong(cube(), cube(),
                              ClosedPolygonalCurve(out.points[rows]),
@@ -928,24 +951,28 @@ class TestBruteForceOracle:
         (lambda: random_polygon(6, 0), 35, 2.029828571428572),
         (lambda: named_body("triangle"), 14, 2.0),
     ], ids=["6-gon", "triangle"])
-    @pytest.mark.parametrize("scale", [1e7, 1e8])
+    @pytest.mark.parametrize("scale", [1e7, 1e8, 1e10])
     def test_scaled_table_gives_the_unscaled_grid_and_value(
             self, body, points, value, scale):
         # The facet corners and the inside filter scale with the body, so
         # the grid at scale s and step 0.25 s is the unscaled grid times s.
+        # The margins are slack averages in the table's units, so the
+        # pinned tolerance scales too; an absolute one pinned extra tuples
+        # of the 6-gon at 1e10 and no tuple of the triangle.
         table = affine_image(body(), scale)
         assert len(boundary_grid(body(), 0.25)) == points
         assert len(boundary_grid(table, 0.25 * scale)) == points
         oracle = brute_force_oracle(table, square(), 0.25 * scale) / scale
         assert abs(oracle - value) <= 1e-14
 
-    def test_scaled_table_past_the_pinned_tolerance_names_its_error(self):
-        # PINNED_TOL is absolute: at 1e10 no tuple of the triangle's grid
-        # reads as pinned.
-        table = affine_image(named_body("triangle"), 1e10)
-        assert len(boundary_grid(table, 0.25e10)) == 14
-        with pytest.raises(GridTooCoarseError):
-            brute_force_oracle(table, square(), 0.25e10)
+    def test_no_pinned_tuple_names_its_error(self, monkeypatch):
+        # The grid holds the table's corners, so some tuple of the corpus's
+        # grids always pins; a negative tolerance pins none.
+        monkeypatch.setattr(ehzcap.capacity, "PINNED_TOL", -1.0)
+        with pytest.raises(GridTooCoarseError,
+                           match="no pinned tuple of up to 3 grid points at "
+                                 "step 0.25"):
+            brute_force_oracle(triangle(), square(), 0.25)
 
     @pytest.mark.parametrize("step", [1e-300, 1e-9])
     def test_too_fine_a_step_is_refused_before_the_grid(self, monkeypatch,

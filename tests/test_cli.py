@@ -1,6 +1,7 @@
 import dataclasses
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -88,6 +89,27 @@ class TestCapacityCommand:
                                     "--T", square_file])
         assert code == 3
         assert json.loads(out)["quantities"]["consistent"] is False
+
+    def test_unrealized_swapped_side_exits_3(self, capsys, monkeypatch,
+                                             square_file, triangle_file):
+        # Only the swapped side, whose table is the triangle, fails to
+        # realize; the primary side's trajectory is still reported.
+        import ehzcap.capacity as capacity_mod
+        real = capacity_mod.verify_strong
+
+        def reject_swapped(table, geometry, q, p):
+            if table.num_facets == 3:
+                return SimpleNamespace(verified=False)
+            return real(table, geometry, q, p)
+
+        monkeypatch.setattr(capacity_mod, "verify_strong", reject_swapped)
+        code, out, _ = run(capsys, ["capacity", "--K", square_file,
+                                    "--T", triangle_file])
+        assert code == 3
+        report = json.loads(out)
+        assert report["realized"] is True
+        assert report["dual_note"].startswith("swapped side: ")
+        assert report["quantities"]["consistent"] is False
 
 
 class TestValidationFailures:

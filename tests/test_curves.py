@@ -120,7 +120,7 @@ class TestMinkowskiLength:
         assert minkowski_length(cross(), back_and_forth()) == pytest.approx(4.0)
 
     def test_positive_homogeneity(self):
-        doubled = back_and_forth().scaled(2.0)
+        doubled = ClosedPolygonalCurve(2.0 * back_and_forth().points)
         assert minkowski_length(square(), doubled) == pytest.approx(8.0)
 
     def test_needs_no_interior_origin(self):
@@ -143,7 +143,8 @@ class TestMinkowskiLength:
     def test_translation_invariance(self, curve, seed):
         t = np.random.RandomState(seed).uniform(-5, 5, size=2)
         base = minkowski_length(square(), curve)
-        moved = minkowski_length(square(), curve.translated(t))
+        moved = minkowski_length(square(),
+                                 ClosedPolygonalCurve(curve.points + t))
         assert abs(base - moved) <= 1e-9 * (1 + abs(base))
 
     @given(random_curves())
@@ -188,7 +189,7 @@ class TestTranslationMargin:
         c = canonicalize([[0, 0], [0.5, 0], [0, 0.5]])
         cert = translation_margin(square(), c)
         body = square()
-        for point in c.translated(cert.translation).points:
+        for point in c.points + cert.translation:
             assert body.locate(point, tol=PINNED_TOL_HALF) == "interior"
 
     @given(random_curves(), st.floats(0.1, 4.0))
@@ -196,7 +197,7 @@ class TestTranslationMargin:
     def test_margin_scales_with_body_and_curve(self, curve, lam):
         base = translation_margin(square(), curve)
         scaled = translation_margin(affine_image(square(), lam),
-                                    curve.scaled(lam))
+                                    ClosedPolygonalCurve(lam * curve.points))
         assert abs(scaled.margin - lam * base.margin) <= 1e-8 * (1 + lam)
         assert scaled.pinned == base.pinned or abs(base.margin) <= 1e-6
 
@@ -231,7 +232,7 @@ class TestDiscreteAction:
     def test_linear_in_curve(self):
         q = back_and_forth()
         p = [[1, 0], [-1, 0]]
-        assert discrete_action(q.scaled(2.0), p) == pytest.approx(8.0)
+        assert discrete_action(ClosedPolygonalCurve(2.0 * q.points), p) == pytest.approx(8.0)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):

@@ -240,8 +240,8 @@ class TestContains:
 
     def test_contains_includes_boundary(self):
         s = square()
-        assert s.contains((1, 1))
-        assert not s.contains((1 + 1e-6, 1))
+        assert s.locate((1, 1)) == "boundary"
+        assert s.locate((1 + 1e-6, 1)) == "outside"
 
 
 class TestProjectionAndHausdorff:

@@ -397,20 +397,21 @@ def test_standard_form_and_validate_match_reference(seed):
                   a_eq=rng.normal(size=(m_eq, n)) if m_eq else None,
                   b_eq=rng.normal(size=m_eq) if m_eq else None,
                   nonneg=rng.random(n) < 0.5)
-    sf = lp._StandardForm(lp_)
+    form = lp._SharedForm(lp_, m_eq)
+    got_amat, got_rhs, _, _, _ = form.standard(lp_.a_eq, lp_.b_eq)
     amat, rhs, c_z, x_from_z = _reference_standard_form(lp_)
     flip = np.where(rhs < 0, -1.0, 1.0)
-    assert (sf.amat[:, :sf.nz] * flip[:, None]).tobytes() == amat.tobytes()
-    assert (sf.bvec * flip).tobytes() == rhs.tobytes()
-    assert sf.c_z.tobytes() == c_z.tobytes()
-    z = rng.uniform(0.0, 2.0, size=sf.ncols)
-    x = sf.x_from_z(z)
+    assert (got_amat[:, :form.nz] * flip[:, None]).tobytes() == amat.tobytes()
+    assert (got_rhs * flip).tobytes() == rhs.tobytes()
+    assert form.c_z.tobytes() == c_z.tobytes()
+    z = rng.uniform(0.0, 2.0, size=form.ncols)
+    x = form.x_from_z(z)
     assert x.tobytes() == x_from_z(z).tobytes()
     # Random multipliers miss most KKT conditions, so the messages differ
     # from one seed to the next; the bound checks see x above, at and
     # below its bound 0.
     pick = rng.integers(0, 3, size=n)
-    x = np.select([pick == 0, pick == 1], [x, x_from_z(np.zeros(sf.ncols))], -x)
+    x = np.select([pick == 0, pick == 1], [x, x_from_z(np.zeros(form.ncols))], -x)
     mu = rng.normal(size=m_ub) * (rng.random(m_ub) < 0.5)
     nu = rng.normal(size=m_eq)
     expected = _reference_validate(lp_, x, mu, nu)
