@@ -9,6 +9,12 @@ equalities, which ``verify_strong`` checks without an LP.  The weak law asks
 less: each bounce point only needs a supporting hyperplane of K over which it
 minimizes the two adjacent segment lengths measured by T.
 
+Both laws meet in one momentum program: momenta on the faces of T that the
+segments expose, each kick a nonnegative combination of the normals of K
+active at its bounce point.  ``extract_dual`` solves it once over the whole
+cycle, and ``verify_weak`` once per vertex over the two adjacent segments,
+where the momenta also certify the bound over the hyperplane.
+
 ``verify_strong`` reports per-bounce findings instead of raising on a bad
 pair, because callers routinely probe candidate pairs.  ``verify_weak``
 raises when the curve is not even on the boundary, since that is a misuse
@@ -27,7 +33,6 @@ from .curves import ClosedPolygonalCurve
 from .lp import make_lp, solve_lp
 
 CONE_TOL = 1e-8
-_ZERO_NORMAL_TOL = 1e-10  # a normal combination shorter than this is zero
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,66 +144,71 @@ def extract_dual(table: ConvexPolytope, geometry: ConvexPolytope,
 
     One feasibility program constrains the momenta jointly: p_j must lie on
     the face of the geometry body exposed by the segment direction (the
-    support-duality reading of the first bounce law) and consecutive kicks
-    must combine active table normals at the bounce point with nonnegative
-    weights.  It is solved once with a zero objective, and the answer is
-    the vertex of that program's feasible set where the simplex stops: some
-    valid momentum sequence, not a canonical point of the face.  The LP data
-    depend only on the inputs, so the output is bitwise deterministic on one
-    platform.  Raises ``NotABilliardError`` when no momentum sequence
-    exists, and ``LpNumericalError``, prefixed "momentum program: ", when
-    the solver fails.
+    support-duality reading of the first bounce law) and each kick
+    p_j - p_{j+1} must combine active table normals at q_{j+1} with
+    nonnegative weights.  It is solved once with a zero objective, and the
+    answer is the vertex of that program's feasible set where the simplex
+    stops: some valid momentum sequence, not a canonical point of the face.
+    The LP data depend only on the inputs, so the output is bitwise
+    deterministic on one platform.  Raises ``NotABilliardError`` when no
+    momentum sequence exists, and ``LpNumericalError``, prefixed "momentum
+    program: ", when the solver fails.
     """
-    n = table.dim
     m = q.num_points
     _require_on_boundary(table, q, tol)
-    deltas = q.deltas
-    face_values = [support_function(geometry, d)[0] for d in deltas]
-    active = [table.active_facets(q.points[(j + 1) % m], tol) for j in range(m)]
-    eta_offsets = []
-    total_eta = 0
-    for j in range(m):
-        eta_offsets.append(m * n + total_eta)
-        total_eta += len(active[j])
-    nvars = m * n + total_eta
-
-    rows_ub, rhs_ub = [], []
-    for j in range(m):
-        block = np.zeros((geometry.num_facets, nvars))
-        block[:, j * n:(j + 1) * n] = geometry.normals
-        rows_ub.append(block)
-        rhs_ub.append(geometry.offsets)
-    a_ub = np.vstack(rows_ub)
-    b_ub = np.concatenate(rhs_ub)
-
-    rows_eq, rhs_eq = [], []
-    for j in range(m):
-        row = np.zeros(nvars)
-        row[j * n:(j + 1) * n] = deltas[j]
-        rows_eq.append(row)
-        rhs_eq.append(face_values[j])
-    for j in range(m):
-        jn = (j + 1) % m
-        block = np.zeros((n, nvars))
-        block[:, jn * n:(jn + 1) * n] = np.eye(n)
-        block[:, j * n:(j + 1) * n] -= np.eye(n)
-        for k, i in enumerate(active[j]):
-            block[:, eta_offsets[j] + k] = table.normals[i]
-        rows_eq.append(block)
-        rhs_eq.append(np.zeros(n))
-    a_eq = np.vstack([np.atleast_2d(r) for r in rows_eq])
-    b_eq = np.concatenate([np.atleast_1d(r) for r in rhs_eq])
-
-    nonneg = [False] * (m * n) + [True] * total_eta
-    try:
-        sol = solve_lp(make_lp(np.zeros(nvars), a_ub=a_ub, b_ub=b_ub,
-                               a_eq=a_eq, b_eq=b_eq, nonneg=nonneg))
-    except LpNumericalError as exc:
-        raise LpNumericalError(f"momentum program: {exc}") from exc
-    if sol.status == "infeasible":
+    kicks = [(j, (j + 1) % m, q.points[(j + 1) % m]) for j in range(m)]
+    momenta = _momentum_program(table, geometry, q.deltas, kicks, tol)
+    if momenta is None:
         raise NotABilliardError(
             "no momentum sequence satisfies the bounce laws for this curve "
             "(joint feasibility program is infeasible)")
+    return momenta
+
+
+def _momentum_program(table: ConvexPolytope, geometry: ConvexPolytope,
+                      directions: np.ndarray, kicks, tol: float):
+    """Momenta p_j, one per direction d_j, on the faces of the geometry body
+    that the directions expose, such that for every kick (i, k, x) the
+    difference p_i - p_k is a nonnegative combination of the table normals
+    active at x.
+
+    One feasibility LP with a zero objective.  Its variables are the
+    momenta, then each kick's weights; its inequality rows are p_j in the
+    geometry body, then the weights' signs (-eta <= 0); its equality rows
+    are <d_j, p_j> = h(d_j), then p_k - p_i + sum eta_l a_l = 0 per kick.
+    Returns the momenta as an (m, n) array, or None when the program is
+    infeasible.  Raises ``LpNumericalError``, prefixed "momentum program: ",
+    when the solver fails.
+    """
+    m, n = directions.shape
+    f = geometry.num_facets
+    gens = [table.normals[list(table.active_facets(x, tol))]
+            for _, _, x in kicks]
+    starts = np.cumsum([m * n] + [g.shape[0] for g in gens])
+    nvars = int(starts[-1])
+    n_eta = nvars - m * n
+    a_ub = np.zeros((m * f + n_eta, nvars))
+    for j in range(m):
+        a_ub[j * f:(j + 1) * f, j * n:(j + 1) * n] = geometry.normals
+    a_ub[m * f:, m * n:] = -np.eye(n_eta)
+    b_ub = np.concatenate([np.tile(geometry.offsets, m), np.zeros(n_eta)])
+    a_eq = np.zeros((m + n * len(kicks), nvars))
+    b_eq = np.zeros(m + n * len(kicks))
+    for j, d in enumerate(directions):
+        a_eq[j, j * n:(j + 1) * n] = d
+        b_eq[j] = support_function(geometry, d)[0]
+    for r, ((i, k, _), gen) in enumerate(zip(kicks, gens)):
+        rows = slice(m + r * n, m + (r + 1) * n)
+        a_eq[rows, k * n:(k + 1) * n] = np.eye(n)
+        a_eq[rows, i * n:(i + 1) * n] -= np.eye(n)
+        a_eq[rows, starts[r]:starts[r + 1]] = gen.T
+    try:
+        sol = solve_lp(make_lp(np.zeros(nvars), a_ub=a_ub, b_ub=b_ub,
+                               a_eq=a_eq, b_eq=b_eq))
+    except LpNumericalError as exc:
+        raise LpNumericalError(f"momentum program: {exc}") from exc
+    if sol.status == "infeasible":
+        return None
     if sol.status != "optimal":
         raise LpNumericalError(
             f"momentum program: ended with status {sol.status}")
@@ -209,9 +219,12 @@ def extract_dual(table: ConvexPolytope, geometry: ConvexPolytope,
 class WeakBounceRecord:
     """Outcome of the supporting-hyperplane optimality test at one vertex.
 
-    ``value_at_vertex`` is the sum of the two adjacent segment lengths;
-    ``hyperplane_minimum`` is the best value over the found hyperplane (only
-    present for vertices where the first-order system was feasible).
+    ``value_at_vertex`` is the sum of the two adjacent segment lengths.
+    Where the first-order system is feasible, ``normal`` is the kick u - v
+    of its momenta, an outward normal combination of the table at the
+    vertex, and ``hyperplane_minimum`` the lower bound that u and v certify
+    for the two lengths over the hyperplane with that normal; both are None
+    where the system is infeasible.
     """
 
     index: int
@@ -235,14 +248,17 @@ def verify_weak(table: ConvexPolytope, geometry: ConvexPolytope,
     """Check the weak bounce law at every vertex of the curve.
 
     Vertex j passes when some point u of the face of the geometry body
-    exposed by the incoming direction, some point v of the face exposed by
-    the outgoing direction, and some outward table normal combination w at
-    q_j satisfy u - v = w.  That is the first-order optimality condition for
-    q_j minimizing the two adjacent segment lengths over the supporting
-    hyperplane with normal w.  Every positive answer is cross-checked by
-    minimizing the same objective over that hyperplane directly; the check
-    failing marks the vertex as failed and is a solver defect, not a
-    property of the input.
+    exposed by the incoming direction d_in, some point v of the face exposed
+    by the outgoing direction d_out, and some outward table normal
+    combination w at q_j satisfy u - v = w: the momentum program of the two
+    segments with one kick at q_j, one LP per vertex.  That is the
+    first-order optimality condition for q_j minimizing the two adjacent
+    segment lengths over the supporting hyperplane with normal w, and u and
+    v certify it: for every x on that hyperplane,
+    h(x - q_{j-1}) + h(q_{j+1} - x) >= <u, x - q_{j-1}> + <v, q_{j+1} - x>
+    = <u, d_in> + <v, d_out>, the reported ``hyperplane_minimum``.  The
+    vertex passes when that bound is at least the value at the vertex, up
+    to ``tol * (1 + |value|)``.
     """
     m = q.num_points
     _require_on_boundary(table, q, tol)
@@ -251,86 +267,19 @@ def verify_weak(table: ConvexPolytope, geometry: ConvexPolytope,
     for j in range(m):
         incoming = deltas[(j - 1) % m]
         outgoing = deltas[j]
-        sol = _first_order_solution(table, geometry, q.points[j],
-                                    incoming, outgoing, tol)
         value = (support_function(geometry, incoming)[0]
                  + support_function(geometry, outgoing)[0])
-        if sol is None:
+        momenta = _momentum_program(table, geometry,
+                                    np.array([incoming, outgoing]),
+                                    [(0, 1, q.points[j])], tol)
+        if momenta is None:
             records.append(WeakBounceRecord(
                 index=j, passed=False, normal=None,
                 value_at_vertex=value, hyperplane_minimum=None))
             continue
-        normal = sol
-        if np.linalg.norm(normal) <= _ZERO_NORMAL_TOL:
-            # Zero combination: the vertex minimizes unconstrained, so any
-            # supporting normal works; pick one for the cross-check.
-            normal = table.normals[table.active_facets(q.points[j], tol)[0]]
-        minimum = _hyperplane_minimum(geometry, q.points[(j - 1) % m],
-                                      q.points[(j + 1) % m], q.points[j], normal)
-        passed = minimum >= value - tol * (1 + abs(value))
+        u, v = momenta
+        bound = float(u @ incoming) + float(v @ outgoing)
         records.append(WeakBounceRecord(
-            index=j, passed=passed, normal=normal,
-            value_at_vertex=value, hyperplane_minimum=minimum))
+            index=j, passed=bound >= value - tol * (1 + abs(value)),
+            normal=u - v, value_at_vertex=value, hyperplane_minimum=bound))
     return WeakVerification(records=tuple(records))
-
-
-def _first_order_solution(table, geometry, vertex, incoming, outgoing, tol):
-    """Find u, v on the exposed faces and w in the normal cone with u-v=w.
-
-    Returns the normal combination w, or None when the system is infeasible.
-    """
-    n = table.dim
-    gen = table.normals[list(table.active_facets(vertex, tol))]
-    k = gen.shape[0]
-    nvars = 2 * n + k
-    f = geometry.num_facets
-    a_ub = np.zeros((2 * f, nvars))
-    a_ub[:f, :n] = geometry.normals
-    a_ub[f:, n:2 * n] = geometry.normals
-    b_ub = np.concatenate([geometry.offsets, geometry.offsets])
-    h_in = support_function(geometry, incoming)[0]
-    h_out = support_function(geometry, outgoing)[0]
-    a_eq = np.zeros((2 + n, nvars))
-    b_eq = np.zeros(2 + n)
-    a_eq[0, :n] = incoming
-    b_eq[0] = h_in
-    a_eq[1, n:2 * n] = outgoing
-    b_eq[1] = h_out
-    a_eq[2:, :n] = np.eye(n)
-    a_eq[2:, n:2 * n] = -np.eye(n)
-    a_eq[2:, 2 * n:] = -gen.T
-    sol = solve_lp(make_lp(np.zeros(nvars), a_ub=a_ub, b_ub=b_ub,
-                           a_eq=a_eq, b_eq=b_eq,
-                           nonneg=[False] * (2 * n) + [True] * k))
-    if sol.status != "optimal":
-        return None
-    return gen.T @ sol.x[2 * n:]
-
-
-def _hyperplane_minimum(geometry, prev_point, next_point, vertex, normal):
-    """Minimize the two adjacent segment lengths over a hyperplane.
-
-    The objective x -> h(x - prev) + h(next - x) is piecewise linear, so the
-    minimum over the hyperplane through the vertex is an epigraph LP over
-    the geometry body's vertex set.
-    """
-    n = len(vertex)
-    w = geometry.vertices
-    k = w.shape[0]
-    # variables (x, s1, s2): minimize s1 + s2
-    c = np.zeros(n + 2)
-    c[n] = 1.0
-    c[n + 1] = 1.0
-    a_ub = np.zeros((2 * k, n + 2))
-    a_ub[:k, :n] = w
-    a_ub[:k, n] = -1.0
-    a_ub[k:, :n] = -w
-    a_ub[k:, n + 1] = -1.0
-    b_ub = np.concatenate([w @ prev_point, -(w @ next_point)])
-    a_eq = np.zeros((1, n + 2))
-    a_eq[0, :n] = normal
-    b_eq = np.array([float(normal @ vertex)])
-    sol = solve_lp(make_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq))
-    if sol.status != "optimal":
-        raise LpNumericalError("hyperplane minimization failed to solve")
-    return float(sol.objective)

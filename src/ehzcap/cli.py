@@ -95,6 +95,8 @@ def _cmd_fit_check(args) -> tuple[str, int]:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
+    if args.weak and args.p is not None:
+        raise EhzcapError("verify --p needs --strong")
     table = _load_body(args.K)
     geometry = _load_body(args.T)
     curve = _load_curve(args.q)
@@ -178,7 +180,18 @@ def _cmd_study(args) -> tuple[str, int]:
     return jsonio.study_rows_to_csv(rows), 0
 
 
+# The options each generation family reads; generate rejects the others.
+_FAMILY_OPTIONS = {"named": ("name",), "random-polygon": ("k",),
+                   "perturbed": ("base", "delta")}
+
+
 def _cmd_generate(args) -> tuple[str, int]:
+    unread = [f"--{name}" for name in ("name", "k", "base", "delta")
+              if getattr(args, name) is not None
+              and name not in _FAMILY_OPTIONS[args.family]]
+    if unread:
+        raise EhzcapError(f"generate --family {args.family} does not read "
+                          + ", ".join(unread))
     base = _load_body(args.base) if args.base is not None else None
     spec = generate_body(args.family, name=args.name, k=args.k,
                          base=base, delta=args.delta, seed=args.seed)
@@ -268,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     study.set_defaults(handler=_cmd_study)
 
     gen = sub.add_parser("generate", help="emit a body as JSON")
-    gen.add_argument("--family", required=True,
-                     choices=("named", "random-polygon", "perturbed"))
+    gen.add_argument("--family", required=True, choices=tuple(_FAMILY_OPTIONS))
     gen.add_argument("--name", choices=named_body_names(),
                      help="corpus name (family: named)")
     gen.add_argument("--k", type=int,

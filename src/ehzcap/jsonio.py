@@ -88,10 +88,6 @@ def _require(mapping, key: str, kind, where: str):
                                if where else f"missing field '{key}'")
     value = mapping[key]
     label = f"{where}.{key}" if where else key
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InvalidBodyError(f"field '{label}' must be a number")
-        return float(value)
     if isinstance(value, bool) and kind is int:
         raise InvalidBodyError(f"field '{label}' must be of type int")
     if not isinstance(value, kind):

@@ -14,7 +14,7 @@ same operands in the same order; the tests run it against a reference copy
 of an earlier version on recorded tableaux and require the same pivots and
 the same tableau bytes.  The same holds for the conversion to standard form
 and for the KKT validator, which the tests compare with reference copies
-on random programs with free and nonnegative variables.
+on random programs.
 
 Each program's standard form comes from its family's form
 (:class:`_SharedForm`): the part of the standard form and of the phase-1
@@ -31,10 +31,10 @@ Problems are stated as
 
     minimize c.x  subject to  a_ub @ x <= b_ub,  a_eq @ x == b_eq,
 
-with each variable free or nonnegative (default: free).  Solutions report
-multipliers in the convention
+with every variable free: a bound such as x >= 0 is an inequality row.
+Solutions report multipliers in the convention
 
-    c + a_ub.T @ ineq_duals + a_eq.T @ eq_duals == 0  on free variables,
+    c + a_ub.T @ ineq_duals + a_eq.T @ eq_duals == 0,
 
 with ineq_duals >= 0 and complementary slackness against the slacks.
 Infeasible and unbounded problems report only their status and pivot
@@ -57,7 +57,6 @@ RATIO_TIE_TOL = 1e-9  # min-ratio tie width, relative to 1 + |min ratio|
 STALL_TOL = 1e-12  # objective change, relative, that ends a degenerate stall
 INFEASIBILITY_TOL = 1e-8  # phase-1 optimum, relative to 1 + max rhs
 DRIVE_OUT_TOL = 1e-9  # pivot entry, relative to its row, to drive an artificial out
-BOUND_ACTIVE_TOL = 1e-7  # x at or below this is at its bound 0 for _validate
 STALL_LIMIT = 100
 MAX_PIVOTS = 50_000
 
@@ -73,7 +72,6 @@ class LinearProgram:
     b_ub: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
-    nonneg: np.ndarray  # bool per variable: x >= 0 if set, else free
     # The standard form shared with the rest of the program's family, or
     # None for a program that :func:`solve_lp` converts on its own.
     shared: _SharedForm | None = field(default=None, repr=False)
@@ -123,36 +121,26 @@ def _check_finite(*arrays) -> None:
             raise ValueError("non-finite entries in LP data")
 
 
-def make_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, nonneg=None) -> LinearProgram:
-    """Assemble a LinearProgram, normalizing shapes and defaulting to free
-    variables; ``nonneg`` flags the variables constrained to x >= 0."""
+def make_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LinearProgram:
+    """Assemble a LinearProgram over free variables, normalizing shapes."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
     n = c.shape[0]
     a_ub, b_ub = _block(a_ub, b_ub, n)
     a_eq, b_eq = _block(a_eq, b_eq, n)
-    if nonneg is None:
-        nonneg = np.zeros(n, dtype=bool)
-    else:
-        nonneg = np.array(nonneg, dtype=bool, ndmin=1)
-        if nonneg.shape != (n,):
-            raise ValueError(f"nonneg mask of shape {nonneg.shape} given for "
-                             f"{n} variables")
     _check_finite(c, a_ub, b_ub, a_eq, b_eq)
-    nonneg.flags.writeable = False
-    return LinearProgram(c, a_ub, b_ub, a_eq, b_eq, nonneg)
+    return LinearProgram(c, a_ub, b_ub, a_eq, b_eq)
 
 
 class _SharedForm:
-    """The standard form of a family of programs that share c, the
-    inequality rows and the variable kinds and have the same number of
-    equality rows, up to those rows.
+    """The standard form of a family of programs that share c and the
+    inequality rows and have the same number of equality rows, up to those
+    rows.
 
-    Standard form is min c.z s.t. A z = b, z >= 0.  A nonnegative variable
-    is one column, z = x; a free variable splits as x = z+ - z- over two
-    adjacent columns.  Rows are the inequality rows, each with its slack
-    column, then the equality rows; a row with negative rhs is negated,
-    and its sign is kept for the duals.  This holds the column map, the
-    cost, the inequality rows, and the phase-1 start tableau with those
+    Standard form is min c.z s.t. A z = b, z >= 0.  Variable k splits as
+    x_k = z_{2k} - z_{2k+1}.  Rows are the inequality rows, each with its
+    slack column, then the equality rows; a row with negative rhs is
+    negated, and its sign is kept for the duals.  This holds the cost, the
+    inequality rows, and the phase-1 start tableau with those
     rows in place: the initial basis (the slack of each unnegated
     inequality row, an artificial for every other row) and the phase-1
     cost row priced against the negated inequality rows.  Each program
@@ -162,27 +150,8 @@ class _SharedForm:
     def __init__(self, base: LinearProgram, n_eq: int):
         self.base = base
         self.n_eq = n_eq
-        free, nonneg = [], []  # (variable, column)
-        col = 0
-        for k, pos in enumerate(base.nonneg.tolist()):
-            if pos:
-                nonneg.append((k, col))
-                col += 1
-            else:
-                free.append((k, col))
-                col += 2
-        self.nz = col
         self.num_vars = base.num_vars
-        # Per kind of variable, or None if there is none: (variables,
-        # columns, second columns) for free ones, (variables, columns) for
-        # nonnegative ones.
-        self.free = self.nonneg = None
-        if free:
-            v, c = zip(*free)
-            self.free = (_index(v), _index(c), _index([j + 1 for j in c]))
-        if nonneg:
-            v, c = zip(*nonneg)
-            self.nonneg = (_index(v), _index(c))
+        self.nz = 2 * self.num_vars
         self.n_ub = n_ub = base.a_ub.shape[0]
         self.c_z = self.encode(base.c)
         self.ncols = ncols = self.nz + n_ub
@@ -219,7 +188,7 @@ class _SharedForm:
         _check_finite(a_eq, b_eq)
         base = self.base
         return LinearProgram(base.c, base.a_ub, base.b_ub, a_eq, b_eq,
-                             base.nonneg, shared=self)
+                             shared=self)
 
     def standard(self, a_eq, b_eq):
         """The family's program with these equality rows in standard form:
@@ -240,13 +209,8 @@ class _SharedForm:
     def encode(self, a_rows: np.ndarray) -> np.ndarray:
         """The columns of a_rows over z."""
         out = np.zeros(a_rows.shape[:-1] + (self.nz,))
-        if self.free:
-            v, c, c2 = self.free
-            out[..., c] = a_rows[..., v]
-            out[..., c2] = -a_rows[..., v]
-        if self.nonneg:
-            v, c = self.nonneg
-            out[..., c] = a_rows[..., v]
+        out[..., 0::2] = a_rows
+        out[..., 1::2] = -a_rows
         return out
 
     def rows(self, a_rows, b, slacks: bool = False):
@@ -267,25 +231,7 @@ class _SharedForm:
         return amat, bvec, sign
 
     def x_from_z(self, z: np.ndarray) -> np.ndarray:
-        x = np.zeros(self.num_vars)
-        if self.free:
-            v, c, c2 = self.free
-            x[v] = z[c] - z[c2]
-        if self.nonneg:
-            v, c = self.nonneg
-            x[v] = 0.0 + z[c]  # the bound 0 plus z, which turns -0.0 into 0.0
-        return x
-
-
-def _index(values) -> slice | np.ndarray:
-    """Increasing indices as a slice when they are evenly spaced, which
-    NumPy reads and writes several times faster than an index array of this
-    size, else as an index array."""
-    step = values[1] - values[0] if len(values) > 1 else 1
-    evenly = range(values[0], values[-1] + 1, step)
-    if tuple(values) == tuple(evenly):
-        return slice(evenly.start, evenly.stop, step)
-    return np.array(values)
+        return z[0:self.nz:2] - z[1:self.nz:2]
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
@@ -426,8 +372,7 @@ def _finish(lp: LinearProgram, form: _SharedForm, row_sign, z, y, iters) -> LpSo
     y_signed = y * row_sign
     mu = -y_signed[: form.n_ub]
     nu = -y_signed[form.n_ub :]
-    _validate(lp, x, mu, nu)
-    slack = lp.b_ub - lp.a_ub @ x if lp.a_ub.shape[0] else np.zeros(0)
+    slack = _validate(lp, x, mu, nu)
     scale = 1.0 + (float(abs(lp.b_ub).max()) if lp.b_ub.size else 0.0)
     active = tuple(int(i) for i in np.flatnonzero(slack <= FEASIBILITY_TOL * scale))
     return LpSolution(status="optimal", x=x, objective=float(lp.c @ x),
@@ -435,8 +380,9 @@ def _finish(lp: LinearProgram, form: _SharedForm, row_sign, z, y, iters) -> LpSo
                       iterations=iters)
 
 
-def _validate(lp: LinearProgram, x, mu, nu) -> None:
-    """KKT checks in user coordinates; raise LpNumericalError if uncertified."""
+def _validate(lp: LinearProgram, x, mu, nu) -> np.ndarray:
+    """KKT checks in user coordinates; raise LpNumericalError if
+    uncertified, else return the inequality slacks b_ub - a_ub @ x."""
     scale_b = 1.0 + max(
         float(abs(lp.b_ub).max()) if lp.b_ub.size else 0.0,
         float(abs(lp.b_eq).max()) if lp.b_eq.size else 0.0,
@@ -448,12 +394,9 @@ def _validate(lp: LinearProgram, x, mu, nu) -> None:
         problems.append(f"primal ub residual {-float(slack_ub.min()):.2e}")
     if res_eq.size and float(abs(res_eq).max()) > FEASIBILITY_TOL * scale_b:
         problems.append(f"primal eq residual {float(abs(res_eq).max()):.2e}")
-    for k in (lp.nonneg & (x < -FEASIBILITY_TOL)).nonzero()[0]:
-        problems.append(f"lower bound violated on variable {k}")
     if mu.size and float(mu.min()) < -COMPLEMENTARITY_TOL:
         problems.append(f"negative inequality dual {float(mu.min()):.2e}")
-    # Stationarity g = c + a_ub.T mu + a_eq.T nu must vanish on free variables
-    # and on nonnegative ones off their bound, and be >= 0 on those at it.
+    # Stationarity: g = c + a_ub.T mu + a_eq.T nu must vanish.
     g = lp.c.copy()
     if mu.size:
         g += lp.a_ub.T @ mu
@@ -461,16 +404,13 @@ def _validate(lp: LinearProgram, x, mu, nu) -> None:
         g += lp.a_eq.T @ nu
     scale_c = 1.0 + float(abs(lp.c).max()) if lp.c.size else 1.0
     tol_c = COMPLEMENTARITY_TOL * scale_c
-    at_bound = lp.nonneg & (x <= BOUND_ACTIVE_TOL)
-    ok = np.where(at_bound, g >= -tol_c, abs(g) <= tol_c)
-    for k in (~ok).nonzero()[0]:
+    for k in (~(abs(g) <= tol_c)).nonzero()[0]:  # a NaN residual fails too
         problems.append(f"stationarity residual {g[k]:.2e} on variable {k}")
     if mu.size:
         cs = float(abs(mu * slack_ub).max())
         if cs > COMPLEMENTARITY_TOL * scale_b * (1 + float(mu.max())):
             problems.append(f"complementary slackness residual {cs:.2e}")
-    # Duality gap: primal objective vs. Lagrangian dual value, to which the
-    # bound multipliers add g_k * 0.
+    # Duality gap: primal objective vs. Lagrangian dual value.
     primal = float(lp.c @ x)
     dual = -(float(lp.b_ub @ mu) if mu.size else 0.0) - (
         float(lp.b_eq @ nu) if nu.size else 0.0
@@ -479,3 +419,4 @@ def _validate(lp: LinearProgram, x, mu, nu) -> None:
         problems.append(f"duality gap {abs(primal - dual):.2e}")
     if problems:
         raise LpNumericalError("; ".join(problems))
+    return slack_ub

@@ -31,17 +31,10 @@ from ehzcap.lp import make_lp, solve_lp
 
 
 def _reference_standard_form(lp_):
-    """The conversion to standard form, all rows at once."""
-    free, nonneg = [], []
-    col = 0
-    for k, pos in enumerate(lp_.nonneg.tolist()):
-        if pos:
-            nonneg.append((k, col))
-            col += 1
-        else:
-            free.append((k, col))
-            col += 2
-    nz = col
+    """The conversion to standard form, all rows at once; every variable
+    is free and splits over two adjacent columns."""
+    free = [(k, 2 * k) for k in range(lp_.num_vars)]
+    nz = 2 * lp_.num_vars
     n_ub = lp_.a_ub.shape[0]
 
     def encode(a_rows):
@@ -49,16 +42,12 @@ def _reference_standard_form(lp_):
         for k, c in free:
             out[..., c] = a_rows[..., k]
             out[..., c + 1] = -a_rows[..., k]
-        for k, c in nonneg:
-            out[..., c] = a_rows[..., k]
         return out
 
     def x_from_z(z):
         x = np.zeros(lp_.num_vars)
         for k, c in free:
             x[k] = z[c] - z[c + 1]
-        for k, c in nonneg:
-            x[k] = 0.0 + z[c]
         return x
 
     m = n_ub + lp_.a_eq.shape[0]
@@ -276,8 +265,8 @@ def test_programs_of_one_size_share_their_form():
 
 @pytest.mark.parametrize("seed", range(20))
 def test_family_programs_match_programs_built_alone(seed):
-    # Free and nonnegative variables, and rhs of both signs, so inequality
-    # and equality rows are negated and phase 1 prices both kinds.
+    # Sign rows -x_k <= 0 on some variables, and rhs of both signs, so
+    # inequality and equality rows are negated and phase 1 prices both kinds.
     rng = np.random.default_rng(900 + seed)
     n = int(rng.integers(2, 7))
     m_ub, m_eq = int(rng.integers(0, 8)), int(rng.integers(0, 4))
@@ -286,16 +275,16 @@ def test_family_programs_match_programs_built_alone(seed):
     x0[nonneg] = abs(x0[nonneg])
     a_ub = rng.normal(size=(m_ub, n))
     b_ub = a_ub @ x0 + rng.uniform(0.0, 1.0, size=m_ub)
+    signs = -np.eye(n)[nonneg]
     box = np.vstack([np.eye(n), -np.eye(n)])  # keeps the programs bounded
-    a_ub, b_ub = np.vstack([a_ub, box]), np.concatenate([b_ub, np.full(2 * n, 9.0)])
+    a_ub = np.vstack([a_ub, signs, box])
+    b_ub = np.concatenate([b_ub, np.zeros(len(signs)), np.full(2 * n, 9.0)])
     c = rng.normal(size=n)
-    family = lp._SharedForm(make_lp(c, a_ub=a_ub, b_ub=b_ub, nonneg=nonneg),
-                            m_eq)
+    family = lp._SharedForm(make_lp(c, a_ub=a_ub, b_ub=b_ub), m_eq)
     for _ in range(3):
         a_eq = rng.normal(size=(m_eq, n))
         b_eq = a_eq @ x0
-        alone = make_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
-                        nonneg=nonneg)
+        alone = make_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
         shared = family.program(a_eq, b_eq)
         amat, bvec, row_sign, tab, basis = family.standard(shared.a_eq,
                                                            shared.b_eq)

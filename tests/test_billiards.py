@@ -2,7 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import ehzcap.billiards
 import ehzcap.capacity
@@ -28,7 +28,7 @@ from ehzcap.geometry import (
     negate,
     support_function,
 )
-from ehzcap.lp import solve_lp
+from ehzcap.lp import make_lp, solve_lp
 from test_capacity import simplex_4d
 from test_lp import highs_normal_cone_contains
 
@@ -161,6 +161,30 @@ def realized(table, geometry):
     return table, geometry, ehz_capacity(table, geometry).billiard_curve
 
 
+@st.composite
+def weak_cases(draw):
+    """The realized billiard of a random polygon pair, and in half the
+    cases that billiard with one point moved along a facet through it."""
+    table = random_polygon(draw(st.integers(3, 7)), draw(st.integers(0, 9999)))
+    geometry = random_polygon(draw(st.integers(3, 7)),
+                              draw(st.integers(0, 9999)))
+    q = ehz_capacity(table, geometry).billiard_curve
+    assume(q is not None)
+    if draw(st.booleans()):
+        j = draw(st.integers(0, q.num_points - 1))
+        facets = table.active_facets(q.points[j])
+        ends = table.vertices[table.incidence[:, draw(st.sampled_from(facets))]]
+        far = ends[np.argmax(np.linalg.norm(ends - q.points[j], axis=1))]
+        t = draw(st.floats(0.1, 0.9))
+        points = q.points.copy()
+        points[j] += t * (far - points[j])
+        try:
+            q = ClosedPolygonalCurve(points)
+        except CurveCollapseError:
+            assume(False)
+    return table, geometry, q
+
+
 class TestExtractDual:
     def test_horizontal_width_curve(self):
         # the momenta lie on the exposed faces x = 1 and x = -1; where on
@@ -258,6 +282,121 @@ class TestVerifyWeak:
         q = ClosedPolygonalCurve(np.array([[-0.5, 0.0], [0.5, 0.0]]))
         with pytest.raises(PointOffBoundaryError):
             verify_weak(square(), square(), q)
+
+    def test_weak_solves_one_lp_per_vertex(self, monkeypatch):
+        calls = []
+
+        def counting(program):
+            calls.append(program)
+            return solve_lp(program)
+
+        monkeypatch.setattr(ehzcap.billiards, "solve_lp", counting)
+        for table, geometry, q in [
+            (square(), square(), width_curve()),
+            (square(), square(), canonicalize([[-1, 0], [0.5, 1], [1, 0]])),
+            (square(), square(), canonicalize([[-1, 0.5], [0, 1]])),
+            realized(simplex_4d(), simplex_4d()),
+        ]:
+            calls.clear()
+            verify_weak(table, geometry, q)
+            assert len(calls) == q.num_points
+
+    @given(weak_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_reference_with_two_lps_per_vertex(self, case):
+        table, geometry, q = case
+        got = verify_weak(table, geometry, q).records
+        want = _reference_verify_weak(table, geometry, q)
+        assert [r.passed for r in got] == [r.passed for r in want]
+        for g, w in zip(got, want):
+            assert g.value_at_vertex == w.value_at_vertex
+            if w.hyperplane_minimum is None:
+                assert g.hyperplane_minimum is None
+            else:
+                assert abs(g.hyperplane_minimum - w.hyperplane_minimum) <= (
+                    1e-12 * abs(w.hyperplane_minimum))
+
+
+# The weak check as it was when it solved two LPs per vertex: a first-order
+# system for the kick, then a minimization over the hyperplane with that
+# normal.  The weights' signs, once nonnegative variables, are -eta <= 0 rows.
+
+def _reference_verify_weak(table, geometry, q, tol=CONE_TOL):
+    m = q.num_points
+    deltas = q.deltas
+    records = []
+    for j in range(m):
+        incoming = deltas[(j - 1) % m]
+        outgoing = deltas[j]
+        normal = _reference_first_order_solution(table, geometry, q.points[j],
+                                                 incoming, outgoing, tol)
+        value = (support_function(geometry, incoming)[0]
+                 + support_function(geometry, outgoing)[0])
+        if normal is None:
+            records.append(ehzcap.billiards.WeakBounceRecord(
+                index=j, passed=False, normal=None,
+                value_at_vertex=value, hyperplane_minimum=None))
+            continue
+        if np.linalg.norm(normal) <= 1e-10:
+            normal = table.normals[table.active_facets(q.points[j], tol)[0]]
+        minimum = _reference_hyperplane_minimum(
+            geometry, q.points[(j - 1) % m], q.points[(j + 1) % m],
+            q.points[j], normal)
+        records.append(ehzcap.billiards.WeakBounceRecord(
+            index=j, passed=minimum >= value - tol * (1 + abs(value)),
+            normal=normal, value_at_vertex=value, hyperplane_minimum=minimum))
+    return records
+
+
+def _reference_first_order_solution(table, geometry, vertex, incoming,
+                                    outgoing, tol):
+    n = table.dim
+    gen = table.normals[list(table.active_facets(vertex, tol))]
+    k = gen.shape[0]
+    nvars = 2 * n + k
+    f = geometry.num_facets
+    a_ub = np.zeros((2 * f + k, nvars))
+    a_ub[:f, :n] = geometry.normals
+    a_ub[f:2 * f, n:2 * n] = geometry.normals
+    a_ub[2 * f:, 2 * n:] = -np.eye(k)
+    b_ub = np.concatenate([geometry.offsets, geometry.offsets, np.zeros(k)])
+    a_eq = np.zeros((2 + n, nvars))
+    b_eq = np.zeros(2 + n)
+    a_eq[0, :n] = incoming
+    b_eq[0] = support_function(geometry, incoming)[0]
+    a_eq[1, n:2 * n] = outgoing
+    b_eq[1] = support_function(geometry, outgoing)[0]
+    a_eq[2:, :n] = np.eye(n)
+    a_eq[2:, n:2 * n] = -np.eye(n)
+    a_eq[2:, 2 * n:] = -gen.T
+    sol = solve_lp(make_lp(np.zeros(nvars), a_ub=a_ub, b_ub=b_ub,
+                           a_eq=a_eq, b_eq=b_eq))
+    if sol.status != "optimal":
+        return None
+    return gen.T @ sol.x[2 * n:]
+
+
+def _reference_hyperplane_minimum(geometry, prev_point, next_point, vertex,
+                                  normal):
+    """min h(x - prev) + h(next - x) over the hyperplane through the vertex,
+    as an epigraph LP over the geometry body's vertices."""
+    n = len(vertex)
+    w = geometry.vertices
+    k = w.shape[0]
+    c = np.zeros(n + 2)
+    c[n:] = 1.0
+    a_ub = np.zeros((2 * k, n + 2))
+    a_ub[:k, :n] = w
+    a_ub[:k, n] = -1.0
+    a_ub[k:, :n] = -w
+    a_ub[k:, n + 1] = -1.0
+    b_ub = np.concatenate([w @ prev_point, -(w @ next_point)])
+    a_eq = np.zeros((1, n + 2))
+    a_eq[0, :n] = normal
+    sol = solve_lp(make_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq,
+                           b_eq=[float(normal @ vertex)]))
+    assert sol.status == "optimal"
+    return float(sol.objective)
 
 
 class TestPairInvariants:

@@ -277,6 +277,16 @@ class TestVerifyAndDual:
         assert code == 1
         assert json.loads(out)["verified"] is False
 
+    def test_weak_with_momenta_exit_2_before_loading(self, capsys, work):
+        tmp_path, _ = work
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run(capsys, ["verify", "--weak", "--K", missing,
+                                      "--T", missing, "--q", missing,
+                                      "--p", missing])
+        assert code == 2
+        assert out == ""
+        assert err == "error: verify --p needs --strong\n"
+
     def test_dual_recovers_momenta(self, capsys, work, square_file):
         _, put = work
         q = put("q.json", {"points": [[-1.0, 0.0], [1.0, 0.0]]})
@@ -416,6 +426,21 @@ class TestGenerateCommand:
         code, _, err = run(capsys, ["generate", "--family", "named"])
         assert code == 2
         assert "name" in err
+
+    @pytest.mark.parametrize("args, unread", [
+        (["named", "--name", "cube", "--k", "5", "--delta", "3"],
+         "--k, --delta"),
+        (["named", "--name", "cube", "--base", "missing.json"], "--base"),
+        (["random-polygon", "--k", "5", "--name", "cube"], "--name"),
+        (["perturbed", "--base", "missing.json", "--delta", "0.1",
+          "--k", "5"], "--k"),
+    ], ids=["named", "named-base", "random-polygon", "perturbed"])
+    def test_unread_option_exit_2(self, capsys, args, unread):
+        code, out, err = run(capsys, ["generate", "--family", *args])
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: generate --family {args[0]} does not read "
+                       f"{unread}\n")
 
     def test_deterministic_output(self, capsys):
         code1, out1, _ = run(capsys, ["generate", "--family",

@@ -34,7 +34,7 @@ def highs_normal_cone_contains(body, point, vector, tol, facet_tol=GEOM_TOL):
 
 def test_bounded_single_variable_with_dual():
     # minimize -x s.t. x <= 1, x >= 0  ->  x = 1, objective -1, dual 1 binding.
-    lp = make_lp([-1.0], a_ub=[[1.0]], b_ub=[1.0], nonneg=[True])
+    lp = make_lp([-1.0], a_ub=[[1.0], [-1.0]], b_ub=[1.0, 0.0])
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.x[0] == pytest.approx(1.0, abs=1e-12)
@@ -57,8 +57,8 @@ def test_unbounded():
 
 def test_degenerate_tie_break_is_blands():
     # minimize 0 s.t. x1 + x2 = 1, x >= 0: Bland returns the basic solution (1, 0).
-    lp = make_lp([0.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[1.0],
-                 nonneg=[True, True])
+    lp = make_lp([0.0, 0.0], a_ub=-np.eye(2), b_ub=[0.0, 0.0],
+                 a_eq=[[1.0, 1.0]], b_eq=[1.0])
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-12)
@@ -83,8 +83,8 @@ def test_bitwise_determinism():
 
 def test_equalities_and_two_sided_bounds():
     # minimize x + 2y s.t. x + y = 1, x <= 0.4, x >= 0, y free.
-    lp = make_lp([1.0, 2.0], a_ub=[[1.0, 0.0]], b_ub=[0.4],
-                 a_eq=[[1.0, 1.0]], b_eq=[1.0], nonneg=[True, False])
+    lp = make_lp([1.0, 2.0], a_ub=[[1.0, 0.0], [-1.0, 0.0]], b_ub=[0.4, 0.0],
+                 a_eq=[[1.0, 1.0]], b_eq=[1.0])
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.x, [0.4, 0.6], atol=1e-10)
@@ -147,17 +147,19 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         make_lp([np.nan])
     with pytest.raises(ValueError):
-        make_lp([1.0, 2.0], nonneg=[True])
+        make_lp([1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0, 0.0])
 
 
 def test_drive_out_pivots_are_counted():
-    # minimize x s.t. x + y = 0, x - y = 0, x, y >= 0.  Phase 1 pivots x in
-    # and prices once more; it stops with the second artificial basic at
-    # level zero, and one pivot on y drives it out.  Phase 2 prices once.
-    sol = solve_lp(make_lp([1.0, 0.0], a_eq=[[1.0, 1.0], [1.0, -1.0]],
-                           b_eq=[0.0, 0.0], nonneg=[True] * 2))
+    # minimize x s.t. x + y = 0, -x - y = 0, x, y >= 0.  The two equality
+    # rows cancel in the phase-1 cost row, so phase 1 prices once and stops
+    # with both artificials basic at level zero.  One pivot on x drives the
+    # first out, which leaves the second row zero, so it is dropped.  Phase 2
+    # pivots once and prices once.
+    sol = solve_lp(make_lp([1.0, 0.0], a_ub=-np.eye(2), b_ub=[0.0, 0.0],
+                           a_eq=[[1.0, 1.0], [-1.0, -1.0]], b_eq=[0.0, 0.0]))
     assert sol.status == "optimal"
-    assert sol.iterations == 2 + 1 + 1
+    assert sol.iterations == 1 + 1 + 2
 
 
 # The simplex loop as it was before it was rewritten for fewer NumPy calls
@@ -262,70 +264,30 @@ def test_kernel_is_bit_identical_to_reference(recorded_tableaux, stall_limit,
 
 
 # The standard-form conversion and the KKT validator as they were before
-# their per-variable loops became index assignments and the bounds a
-# nonnegativity mask, read with a (lo, hi) pair per variable: (0.0, None)
-# for a nonnegative one, (None, None) for a free one.  The rewrite must
-# build the same tableau data, map back the same x and raise the same
-# messages.
-
-def _bounds(lp_):
-    return [(0.0, None) if pos else (None, None) for pos in lp_.nonneg]
-
+# their per-variable loops became slice assignments.  Every variable is
+# free.  The rewrite must build the same tableau data, map back the same x
+# and raise the same messages.
 
 def _reference_standard_form(lp_):
-    var_map = []
-    col = 0
-    extra_rows = []
-    for lo, hi in _bounds(lp_):
-        if lo is not None:
-            var_map.append(("shift", float(lo), col))
-            if hi is not None:
-                extra_rows.append((col, float(hi) - float(lo)))
-            col += 1
-        elif hi is not None:
-            var_map.append(("neg", float(hi), col))
-            col += 1
-        else:
-            var_map.append(("split", None, col))
-            col += 2
+    n = lp_.num_vars
+    col = 2 * n
 
     def encode(a_rows):
         out = np.zeros((a_rows.shape[0], col))
-        shift = np.zeros(a_rows.shape[0])
-        for k, (kind, val, c0) in enumerate(var_map):
-            coeff = a_rows[:, k]
-            if kind == "shift":
-                out[:, c0] = coeff
-                shift += coeff * val
-            elif kind == "neg":
-                out[:, c0] = -coeff
-                shift += coeff * val
-            else:
-                out[:, c0] = coeff
-                out[:, c0 + 1] = -coeff
-        return out, shift
-
-    a_ub_z, s_ub = encode(lp_.a_ub)
-    a_eq_z, s_eq = encode(lp_.a_eq)
-    c_z = encode(lp_.c[None, :])[0][0]
-    rows_extra = np.zeros((len(extra_rows), col))
-    for r, (c0, _) in enumerate(extra_rows):
-        rows_extra[r, c0] = 1.0
-    rhs = np.concatenate([lp_.b_ub - s_ub, [cap for _, cap in extra_rows],
-                          lp_.b_eq - s_eq])
+        for k in range(n):
+            out[:, 2 * k] = a_rows[:, k]
+            out[:, 2 * k + 1] = -a_rows[:, k]
+        return out
 
     def x_from_z(z):
-        x = np.zeros(len(var_map))
-        for k, (kind, val, c0) in enumerate(var_map):
-            if kind == "shift":
-                x[k] = val + z[c0]
-            elif kind == "neg":
-                x[k] = val - z[c0]
-            else:
-                x[k] = z[c0] - z[c0 + 1]
+        x = np.zeros(n)
+        for k in range(n):
+            x[k] = z[2 * k] - z[2 * k + 1]
         return x
 
-    return np.vstack([a_ub_z, rows_extra, a_eq_z]), rhs, c_z, x_from_z
+    rhs = np.concatenate([lp_.b_ub, lp_.b_eq])
+    return (np.vstack([encode(lp_.a_ub), encode(lp_.a_eq)]), rhs,
+            encode(lp_.c[None, :])[0], x_from_z)
 
 
 def _reference_validate(lp_, x, mu, nu):
@@ -341,11 +303,6 @@ def _reference_validate(lp_, x, mu, nu):
         problems.append(f"primal ub residual {-float(np.min(slack_ub)):.2e}")
     if res_eq.size and float(np.max(np.abs(res_eq))) > tol * scale_b:
         problems.append(f"primal eq residual {float(np.max(np.abs(res_eq))):.2e}")
-    for k, (lo, hi) in enumerate(_bounds(lp_)):
-        if lo is not None and x[k] < lo - tol * (1 + abs(lo)):
-            problems.append(f"lower bound violated on variable {k}")
-        if hi is not None and x[k] > hi + tol * (1 + abs(hi)):
-            problems.append(f"upper bound violated on variable {k}")
     if mu.size and float(np.min(mu)) < -ctol:
         problems.append(f"negative inequality dual {float(np.min(mu)):.2e}")
     g = lp_.c.copy()
@@ -354,19 +311,9 @@ def _reference_validate(lp_, x, mu, nu):
     if nu.size:
         g += lp_.a_eq.T @ nu
     scale_c = 1.0 + float(np.max(np.abs(lp_.c))) if lp_.c.size else 1.0
-    for k, (lo, hi) in enumerate(_bounds(lp_)):
-        at_lo = lo is not None and x[k] <= lo + lp.BOUND_ACTIVE_TOL * (1 + abs(lo))
-        at_hi = hi is not None and x[k] >= hi - lp.BOUND_ACTIVE_TOL * (1 + abs(hi))
+    for k in range(lp_.num_vars):
         gk = g[k]
-        if at_lo and at_hi:
-            continue
-        if at_lo:
-            ok = gk >= -ctol * scale_c
-        elif at_hi:
-            ok = gk <= ctol * scale_c
-        else:
-            ok = abs(gk) <= ctol * scale_c
-        if not ok:
+        if not abs(gk) <= ctol * scale_c:
             problems.append(f"stationarity residual {gk:.2e} on variable {k}")
     if mu.size:
         cs = float(np.max(np.abs(mu * slack_ub)))
@@ -375,12 +322,6 @@ def _reference_validate(lp_, x, mu, nu):
     primal = float(lp_.c @ x)
     dual = -(float(lp_.b_ub @ mu) if mu.size else 0.0) - (
         float(lp_.b_eq @ nu) if nu.size else 0.0)
-    for k, (lo, hi) in enumerate(_bounds(lp_)):
-        gk = g[k]
-        if lo is not None and gk > 0:
-            dual += gk * lo
-        elif hi is not None and gk < 0:
-            dual += gk * hi
     if abs(primal - dual) > lp.DUALITY_GAP_TOL * (1.0 + abs(primal)):
         problems.append(f"duality gap {abs(primal - dual):.2e}")
     return "; ".join(problems)
@@ -395,8 +336,7 @@ def test_standard_form_and_validate_match_reference(seed):
                   a_ub=rng.normal(size=(m_ub, n)) if m_ub else None,
                   b_ub=rng.normal(size=m_ub) if m_ub else None,
                   a_eq=rng.normal(size=(m_eq, n)) if m_eq else None,
-                  b_eq=rng.normal(size=m_eq) if m_eq else None,
-                  nonneg=rng.random(n) < 0.5)
+                  b_eq=rng.normal(size=m_eq) if m_eq else None)
     form = lp._SharedForm(lp_, m_eq)
     got_amat, got_rhs, _, _, _ = form.standard(lp_.a_eq, lp_.b_eq)
     amat, rhs, c_z, x_from_z = _reference_standard_form(lp_)
@@ -408,10 +348,7 @@ def test_standard_form_and_validate_match_reference(seed):
     x = form.x_from_z(z)
     assert x.tobytes() == x_from_z(z).tobytes()
     # Random multipliers miss most KKT conditions, so the messages differ
-    # from one seed to the next; the bound checks see x above, at and
-    # below its bound 0.
-    pick = rng.integers(0, 3, size=n)
-    x = np.select([pick == 0, pick == 1], [x, x_from_z(np.zeros(form.ncols))], -x)
+    # from one seed to the next.
     mu = rng.normal(size=m_ub) * (rng.random(m_ub) < 0.5)
     nu = rng.normal(size=m_eq)
     expected = _reference_validate(lp_, x, mu, nu)
